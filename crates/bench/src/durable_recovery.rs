@@ -24,6 +24,7 @@
 //! its checksum, and parse the checkpoint.
 
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use async_cluster::{ClusterSpec, CommModel, DelayModel, VDur};
@@ -157,9 +158,16 @@ fn run(cfg: &DurableRecoveryCfg, d: &Dataset, max_updates: u64, dir: Option<Path
     )
 }
 
+/// A fresh store directory per call: keyed on pid *and* a per-process
+/// sequence number, so tests running concurrently in one process never
+/// share (and `remove_dir_all`) each other's live stores.
 fn scratch_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("async-bench-durable-{tag}-{}", std::process::id()));
+    static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!(
+        "async-bench-durable-{tag}-{}-{n}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

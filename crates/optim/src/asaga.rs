@@ -26,23 +26,20 @@
 //! implicit initial version 0), and updated incrementally from each task's
 //! telescoping delta.
 
-use async_cluster::ConvergenceTrace;
 use async_core::{AsyncBcast, AsyncContext, SubmitOpts, Tagged};
 use async_data::sampler;
 use async_data::{Block, Dataset};
 use async_linalg::{GradDelta, Matrix};
-use sparklet::{Payload, Rdd, WorkerCtx};
+use sparklet::{Payload, WorkerCtx};
 
 use crate::absorber::ShardedAbsorber;
 use crate::checkpoint::{Checkpoint, SolverHistory};
 use crate::compression::{CompressCfg, CompressorBank};
-use crate::durable::{DurableSession, DurableStats};
 use crate::objective::Objective;
 use crate::scratch::ScratchPool;
-use crate::serving::{PublishedModel, ServeCounters};
 use crate::solver::{
-    begin_supervised, block_rdd, crossed_multiple, stalled_should_wait, wave_admitted, AsyncSolver,
-    PinLedger, RunReport, SolverCfg,
+    staleness_damp, AsyncSolver, ResultMsg, RunLifecycle, RunReport, SolverCfg, SolverStep,
+    WaveSource,
 };
 
 /// One task's SAGA contribution. Crate-visible so the remote wire codec
@@ -64,13 +61,28 @@ pub(crate) struct DeltaMsg {
     pub(crate) wire_bytes: u64,
 }
 
+impl ResultMsg for DeltaMsg {
+    fn delta(&self) -> &GradDelta {
+        &self.delta
+    }
+    fn entries(&self) -> u64 {
+        self.entries
+    }
+    fn wire_bytes(&self) -> u64 {
+        self.wire_bytes
+    }
+    fn recycle(self, pool: &ScratchPool) {
+        pool.recycle_ids(self.indices);
+        pool.recycle_delta(self.delta);
+    }
+}
+
 /// Asynchronous SAGA with server-side history.
 #[derive(Debug, Clone)]
 pub struct Asaga {
     /// The objective being minimized.
     pub objective: Objective,
-    resume: Option<Checkpoint>,
-    bank: Option<CompressorBank>,
+    next_run: RunLifecycle,
 }
 
 impl Asaga {
@@ -78,8 +90,7 @@ impl Asaga {
     pub fn new(objective: Objective) -> Self {
         Self {
             objective,
-            resume: None,
-            bank: None,
+            next_run: RunLifecycle::default(),
         }
     }
 
@@ -87,7 +98,7 @@ impl Asaga {
     /// through (only consulted when [`crate::SolverCfg::compress`] is on);
     /// by default each run builds its own.
     pub fn with_compressor_bank(mut self, bank: CompressorBank) -> Self {
-        self.bank = Some(bank);
+        self.next_run.bank = Some(bank);
         self
     }
 
@@ -101,29 +112,87 @@ impl Asaga {
     /// Validated against the dataset at `run` time, which panics on a
     /// solver/dimension/history mismatch.
     pub fn resume_from(mut self, ckpt: Checkpoint) -> Self {
-        self.resume = Some(ckpt);
+        self.next_run.resume = Some(ckpt);
         self
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn submit_wave(
-        &self,
-        ctx: &mut AsyncContext,
-        rdd: &Rdd<Block>,
-        bcast: &AsyncBcast<Vec<f64>>,
+impl AsyncSolver for Asaga {
+    fn name(&self) -> &'static str {
+        AsagaStep::NAME
+    }
+
+    fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport {
+        let step = AsagaStep {
+            objective: self.objective,
+            n: dataset.rows(),
+            alpha_bar: Vec::new(),
+            damps: Vec::new(),
+            scales: Vec::new(),
+        };
+        self.next_run.run(step, ctx, dataset, cfg)
+    }
+}
+
+/// SAGA's update rule; its history is the running table mean ᾱ.
+struct AsagaStep {
+    objective: Objective,
+    /// Samples in the dataset (the SAGA table's size).
+    n: usize,
+    /// ᾱ = mean table gradient, seeded at the starting model so it is
+    /// exactly consistent with the version table.
+    alpha_bar: Vec<f64>,
+    damps: Vec<f64>,
+    scales: Vec<f64>,
+}
+
+impl SolverStep for AsagaStep {
+    type Msg = DeltaMsg;
+    const NAME: &'static str = "asaga";
+
+    fn objective(&self) -> Objective {
+        self.objective
+    }
+
+    /// Every row's implicit initial version is the broadcast base: w₀ on
+    /// a cold start, the re-based restored model on resume.
+    fn history_indices(&self) -> u64 {
+        self.n as u64
+    }
+
+    fn restore(
+        &mut self,
+        _history: Option<SolverHistory>,
+        w: &[f64],
+        dataset: &Dataset,
         cfg: &SolverCfg,
-        minibatch_hint: u64,
-        pool: &ScratchPool,
-        bank: &CompressorBank,
-    ) -> Vec<usize> {
-        let handle = bcast.handle();
-        let server_table = bcast.clone();
+        _pool: &ScratchPool,
+    ) {
+        // A resumed table re-bases at the restored model: the broadcast
+        // seats it as the base version, so every sample's implicit φⱼ is
+        // `w`, and seeding ᾱ with the full gradient at `w` is exactly
+        // consistent with that table (the checkpointed ᾱ described the
+        // pre-crash table and is not reused).
+        self.alpha_bar = vec![0.0; w.len()];
+        self.objective
+            .full_grad(cfg.eval_threads, dataset, w, &mut self.alpha_bar);
+    }
+
+    fn history(&self) -> SolverHistory {
+        SolverHistory::Saga {
+            alpha_bar: self.alpha_bar.clone(),
+        }
+    }
+
+    fn submit(&self, ctx: &mut AsyncContext, src: &WaveSource<'_>) -> Vec<usize> {
+        let handle = src.bcast.handle();
+        let server_table = src.bcast.clone();
         let version = ctx.version();
         let obj = self.objective;
-        let (seed, fraction) = (cfg.seed, cfg.batch_fraction);
-        let compress = cfg.compress;
-        let pool = pool.clone();
-        let bank = bank.clone();
+        let (seed, fraction) = (src.cfg.seed, src.cfg.batch_fraction);
+        let compress = src.cfg.compress;
+        let pool = src.pool.clone();
+        let bank = src.bank.clone();
         let task = move |wctx: &mut WorkerCtx, data: Vec<Block>, part: usize| {
             let block = &data[0];
             let w_cur = handle.value(wctx);
@@ -199,332 +268,68 @@ impl Asaga {
         };
         let opts = SubmitOpts {
             // One version ID per sample plus the current model's ID.
-            extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(minibatch_hint as usize),
+            extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(src.minibatch_hint as usize),
             // Two gradient evaluations per sampled row.
             cost_scale: 4.0 * fraction,
-            minibatch: minibatch_hint,
+            minibatch: src.minibatch_hint,
             ..SubmitOpts::default()
         };
         // The wire form for the remote backend: sampling and version
         // lookup run driver-side in `build` (the submission instant — the
         // same moment the simulator runs the closure above), and the
         // worker replays the arithmetic. In-process engines ignore it.
-        let routine =
-            crate::remote::asaga_routine(rdd, bcast, obj, seed, version, fraction, compress);
-        let submitted = ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine));
-        // Pin the submission version once per in-flight task: `record_use`
-        // at consumption must find it alive.
-        for _ in &submitted {
-            bcast.pin(version);
-        }
-        submitted
-    }
-}
-
-impl AsyncSolver for Asaga {
-    fn name(&self) -> &'static str {
-        "asaga"
+        let routine = crate::remote::asaga_routine(
+            src.rdd, src.bcast, obj, seed, version, fraction, compress,
+        );
+        ctx.async_reduce_wired(src.rdd, &src.cfg.barrier, opts, task, Some(&routine))
     }
 
-    fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport {
-        assert_eq!(ctx.pending(), 0, "asaga: context has in-flight tasks");
-        let (lost0, retried0) = begin_supervised(ctx, cfg);
-        let (blocks, rdd) = block_rdd(ctx, dataset, cfg);
-        let dcols = dataset.cols();
-        let n = dataset.rows();
-        let mean_rows = n / blocks.len().max(1);
-        let minibatch_hint = ((mean_rows as f64 * cfg.batch_fraction).ceil() as u64).max(1);
-
-        // Durability: open the store when configured; an explicit
-        // `resume_from` takes precedence over the store's newest valid
-        // generation, and a durable auto-resume completes the crashed
-        // run's lineage budget instead of adding a fresh one.
-        let mut durable = cfg.durable_dir.as_deref().map(|dir| {
-            DurableSession::open(dir).expect("asaga: cannot open durable checkpoint store")
-        });
-        let explicit = self.resume.take();
-        let from_store = explicit.is_none();
-        let resume = explicit.or_else(|| durable.as_mut().and_then(DurableSession::take_resume));
-
-        // Resume from a checkpoint when one is installed: the model
-        // restores bit-identically and the SAGA table re-bases at it —
-        // the broadcast below seats the restored w as its base version, so
-        // every sample's implicit φⱼ is the restored model, and the
-        // full-gradient seeding of ᾱ right after is exactly consistent.
-        let (mut w, base_updates, resumed) = match resume {
-            Some(ckpt) => {
-                ckpt.validate_for("asaga", dcols)
-                    .expect("asaga: incompatible resume checkpoint");
-                assert!(
-                    matches!(ckpt.history, SolverHistory::Saga { .. }),
-                    "asaga: checkpoint lacks a SAGA history"
-                );
-                for warning in cfg.lint_resume(&ckpt) {
-                    eprintln!("asaga resume: {warning}");
-                }
-                // Re-seat the version counter so task RNG streams (keyed
-                // on seed, version, part) continue the crashed run's
-                // numbering.
-                ctx.reseat_version(ckpt.version);
-                (ckpt.w, ckpt.updates, Some((ckpt.version, ckpt.residuals)))
-            }
-            None => (vec![0.0; dcols], 0, None),
-        };
-        let budget = if from_store && resumed.is_some() {
-            cfg.max_updates.saturating_sub(base_updates)
-        } else {
-            cfg.max_updates
-        };
-        // Every row's implicit initial version is the broadcast base: w₀
-        // on a cold start, the re-based restored model on resume.
-        let bcast = match &resumed {
-            Some((version, _)) => ctx.async_broadcast_at(w.clone(), n as u64, *version),
-            None => ctx.async_broadcast(w.clone(), n as u64),
-        };
-        // Steady-state buffer recycling for the delta/ids result cycle.
-        let pool = ScratchPool::new();
-        let bank = self.bank.take().unwrap_or_default();
-        // A resumed run reloads the crashed run's error-feedback residuals
-        // so compression continues instead of restarting cold.
-        if let Some((_, Some(residuals))) = &resumed {
-            bank.restore_residuals(residuals);
+    fn absorb(
+        &mut self,
+        _ctx: &AsyncContext,
+        server: &mut ShardedAbsorber,
+        w: &mut [f64],
+        wave: &[Tagged<DeltaMsg>],
+        bcast: &AsyncBcast<Vec<f64>>,
+        cfg: &SolverCfg,
+    ) -> bool {
+        self.damps.clear();
+        self.scales.clear();
+        for t in wave {
+            // SAGA's table update: the batch is now recorded at the
+            // version the task computed against (its pin is still held).
+            bcast.record_use(&t.value.indices, t.attrs.issued_version);
+            self.damps.push(staleness_damp(cfg, t.attrs.staleness));
+            self.scales
+                .push(t.value.indices.len() as f64 / self.n.max(1) as f64);
         }
-        // A bank reused across runs keeps only this run's partitions.
-        bank.retain_parts_below(blocks.len().max(1));
-        if let Some(feed) = cfg.serve_feed.as_ref() {
-            feed.publish(PublishedModel {
-                bcast: bcast.clone(),
-                objective: self.objective,
-                dim: dcols,
-            });
-        }
-        // ᾱ = mean table gradient, seeded at w₀ so it is exactly consistent
-        // with the version table.
-        let mut alpha_bar = vec![0.0; dcols];
-        self.objective
-            .full_grad(cfg.eval_threads, dataset, &w, &mut alpha_bar);
-
-        let mut trace = ConvergenceTrace::new();
-        let f0 = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-        trace.push(ctx.now(), f0 - cfg.baseline);
-
-        // The versions each worker's in-flight tasks pinned. Entries are
-        // cleared on consumption; whatever remains at run end (tasks lost
-        // to worker failure never come back) is unpinned explicitly so no
-        // model version leaks past the run.
-        let mut pinned = PinLedger::new(ctx.workers());
-        let mut checkpoints = Vec::new();
-
-        let v0 = ctx.version();
-        let ws = self.submit_wave(ctx, &rdd, &bcast, cfg, minibatch_hint, &pool, &bank);
-        pinned.record_wave(v0, &ws);
-
-        // The sharded server: both the model step and the ᾱ table-mean
-        // re-base run shard-parallel; batched waves apply the deltas
-        // sequentially within each shard (each estimator step must see the
-        // ᾱ left by the previous table update — the ordering that keeps
-        // SAGA unbiased).
-        let mut server = ShardedAbsorber::new(dcols, cfg.server_threads);
-        let absorb_batch = cfg.absorb_batch.max(1);
-        let mut wave: Vec<Tagged<DeltaMsg>> = Vec::new();
-        let mut damps: Vec<f64> = Vec::new();
-        let mut scales: Vec<f64> = Vec::new();
-
-        let mut updates = 0u64;
-        let mut tasks_completed = 0u64;
-        let mut max_staleness = 0u64;
-        let mut grad_entries = 0u64;
-        let mut result_bytes = 0u64;
-        let mut wall_clock = ctx.now();
+        // SAGA's estimator uses ᾱ *before* each delta's own table
+        // absorption: E[f'ⱼ(φⱼ)] over the pre-update table equals ᾱ_old,
+        // which is what keeps g unbiased — the absorber preserves that
+        // step/absorb interleaving per delta, sharded (bit-identical to
+        // the serial order for any thread count).
         let lambda = self.objective.lambda();
-        while updates < budget {
-            // Degrade-policy gate: see `SolverCfg::degrade`.
-            if !wave_admitted(ctx) {
-                break;
-            }
-            let want = absorb_batch.min((budget - updates) as usize);
-            crate::solver::collect_wave(ctx, want, &mut wave);
-            if wave.is_empty() {
-                // Total stall (all in-flight tasks lost): restart with a
-                // fresh wave if revived/joined workers are available, or
-                // wait toward a scheduled recovery before giving up.
-                let v = ctx.version();
-                let ws = self.submit_wave(ctx, &rdd, &bcast, cfg, minibatch_hint, &pool, &bank);
-                if ws.is_empty() {
-                    if stalled_should_wait(ctx) {
-                        continue;
-                    }
-                    break;
-                }
-                pinned.record_wave(v, &ws);
-                continue;
-            }
-            damps.clear();
-            scales.clear();
-            for t in &wave {
-                tasks_completed += 1;
-                max_staleness = max_staleness.max(t.attrs.staleness);
-                grad_entries += t.value.entries;
-                result_bytes += t.value.wire_bytes;
-                let task_version = t.attrs.issued_version;
-                // SAGA's table update: the batch is now recorded at the
-                // version the task computed against; then release the
-                // in-flight pin.
-                bcast.record_use(&t.value.indices, task_version);
-                bcast.unpin(task_version);
-                pinned.consume(t.attrs.worker, task_version);
-                damps.push(if cfg.staleness_damping {
-                    1.0 / (1.0 + t.attrs.staleness as f64)
-                } else {
-                    1.0
-                });
-                scales.push(t.value.indices.len() as f64 / n.max(1) as f64);
-            }
-            // SAGA's estimator uses ᾱ *before* each delta's own table
-            // absorption: E[f'ⱼ(φⱼ)] over the pre-update table equals
-            // ᾱ_old, which is what keeps g unbiased — the absorber
-            // preserves that step/absorb interleaving per delta, sharded
-            // (bit-identical to the serial order for any thread count).
-            if wave.len() == 1 {
-                server.asaga_step(
-                    &mut w,
-                    &mut alpha_bar,
-                    &wave[0].value.delta,
-                    cfg.step * damps[0],
-                    lambda,
-                    scales[0],
-                );
-            } else {
-                let nw = wave.len();
-                let deltas = &wave;
-                server.asaga_wave(
-                    &mut w,
-                    &mut alpha_bar,
-                    nw,
-                    |k| &deltas[k].value.delta,
-                    &damps,
-                    cfg.step,
-                    lambda,
-                    &scales,
-                );
-            }
-            for t in wave.drain(..) {
-                pool.recycle_ids(t.value.indices);
-                pool.recycle_delta(t.value.delta);
-            }
-            let prev_updates = updates;
-            updates += damps.len() as u64;
-            // One model version and one snapshot push per wave (the
-            // historical per-delta cadence when absorb_batch = 1).
-            ctx.advance_version();
-            bcast.push_snapshot_sharded(&w, None, server.pool());
-            wall_clock = ctx.now();
-            if cfg.eval_every > 0 && crossed_multiple(prev_updates, updates, cfg.eval_every) {
-                let f = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-                trace.push(wall_clock, f - cfg.baseline);
-            }
-            if cfg.checkpoint_every > 0
-                && crossed_multiple(prev_updates, updates, cfg.checkpoint_every)
-            {
-                let lineage = base_updates + updates;
-                let version = ctx.version();
-                checkpoints.push(Checkpoint {
-                    solver: "asaga".to_string(),
-                    updates: lineage,
-                    version,
-                    w: w.clone(),
-                    history: SolverHistory::Saga {
-                        alpha_bar: alpha_bar.clone(),
-                    },
-                    residuals: Some(bank.export_residuals()),
-                });
-                if let Some(session) = durable.as_mut() {
-                    // The just-pushed snapshot rides to the background
-                    // writer as a read pin; ᾱ clones like the in-memory
-                    // checkpoint already does.
-                    if let Some(pin) = bcast.try_pin_read_at(version) {
-                        session.submit(
-                            lineage,
-                            "asaga",
-                            lineage,
-                            version,
-                            pin,
-                            SolverHistory::Saga {
-                                alpha_bar: alpha_bar.clone(),
-                            },
-                            bank.export_residuals(),
-                        );
-                    }
-                }
-            }
-            let v = ctx.version();
-            let ws = self.submit_wave(ctx, &rdd, &bcast, cfg, minibatch_hint, &pool, &bank);
-            pinned.record_wave(v, &ws);
+        if wave.len() == 1 {
+            server.asaga_step(
+                w,
+                &mut self.alpha_bar,
+                &wave[0].value.delta,
+                cfg.step * self.damps[0],
+                lambda,
+                self.scales[0],
+            );
+        } else {
+            server.asaga_wave(
+                w,
+                &mut self.alpha_bar,
+                wave.len(),
+                |k| &wave[k].value.delta,
+                &self.damps,
+                cfg.step,
+                lambda,
+                &self.scales,
+            );
         }
-
-        let final_objective = self.objective.full_objective(cfg.eval_threads, dataset, &w);
-        trace.push(wall_clock, final_objective - cfg.baseline);
-
-        // Final durable save (deduplicated when the run ended exactly on a
-        // cadence boundary), then drain the writer before reporting.
-        let durable_stats = match durable {
-            Some(mut session) => {
-                let lineage = base_updates + updates;
-                if let Some(pin) = bcast.try_pin_read_at(ctx.version()) {
-                    session.submit(
-                        lineage,
-                        "asaga",
-                        lineage,
-                        ctx.version(),
-                        pin,
-                        SolverHistory::Saga {
-                            alpha_bar: alpha_bar.clone(),
-                        },
-                        bank.export_residuals(),
-                    );
-                }
-                session.finish()
-            }
-            None => DurableStats::default(),
-        };
-
-        // Drain in-flight tasks, releasing their pins without applying.
-        while let Some(t) = ctx.collect::<DeltaMsg>() {
-            bcast.unpin(t.attrs.issued_version);
-            pinned.consume(t.attrs.worker, t.attrs.issued_version);
-            pool.recycle_ids(t.value.indices);
-            pool.recycle_delta(t.value.delta);
-        }
-        // Tasks lost to worker failures never surface: release their pins
-        // so the model versions they held can prune.
-        pinned.release_leftovers(&bcast);
-
-        let serve = match cfg.serve_feed.as_ref() {
-            Some(feed) => {
-                feed.mark_done();
-                feed.counters()
-            }
-            None => ServeCounters::default(),
-        };
-
-        RunReport {
-            trace,
-            updates,
-            tasks_completed,
-            max_staleness,
-            wall_clock,
-            mean_wait: ctx.driver().wait_recorder().overall_mean(),
-            bytes_shipped: ctx.driver().total_bytes_shipped(),
-            grad_entries,
-            result_bytes,
-            worker_clocks: ctx.stat().workers.iter().map(|s| s.clock).collect(),
-            final_w: w,
-            final_objective,
-            checkpoints,
-            serve,
-            lost_tasks: ctx.lost_tasks() - lost0,
-            retried_tasks: ctx.retried_tasks() - retried0,
-            durable: durable_stats,
-        }
+        false
     }
 }

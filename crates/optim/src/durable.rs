@@ -1,5 +1,5 @@
 //! Crash-consistent checkpoint durability: an atomic on-disk generation
-//! store, a background checkpointer that snapshots solver state off the
+//! store, a background writer that serializes and commits checkpoints off the
 //! hot path, and deterministic disk fault injection for the recovery
 //! paths.
 //!
@@ -49,9 +49,7 @@ use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use async_core::ReadPin;
-
-use crate::checkpoint::{Checkpoint, SolverHistory};
+use crate::checkpoint::Checkpoint;
 
 /// Magic prefix of a generation manifest.
 const MANIFEST_MAGIC: &[u8; 8] = b"ASYNCMF1";
@@ -430,38 +428,16 @@ pub struct DurableStats {
     pub store: StoreCounters,
 }
 
-/// A checkpoint capture handed to the background writer: everything is
-/// owned or pinned, so serialization and disk I/O happen entirely off the
-/// solver's hot path. The model rides as a [`ReadPin`] — the wave loop
-/// pays one pin increment, not an `O(dim)` clone.
-struct CheckpointJob {
-    generation: u64,
-    solver: &'static str,
-    updates: u64,
-    version: u64,
-    w: ReadPin<Vec<f64>>,
-    history: SolverHistory,
-    residuals: Vec<(u64, Vec<f64>)>,
-}
-
 /// One solver run's durability session: owns the [`CheckpointStore`], the
 /// background writer thread, and the resume bookkeeping. Constructed by
 /// the solvers when [`crate::SolverCfg::durable_dir`] is set.
+#[derive(Debug)]
 pub struct DurableSession {
     store: Arc<Mutex<CheckpointStore>>,
-    tx: Option<mpsc::Sender<CheckpointJob>>,
+    tx: Option<mpsc::Sender<Checkpoint>>,
     writer: Option<thread::JoinHandle<()>>,
     resumed_from: Option<u64>,
     last_submitted: Option<u64>,
-}
-
-impl std::fmt::Debug for DurableSession {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DurableSession")
-            .field("resumed_from", &self.resumed_from)
-            .field("last_submitted", &self.last_submitted)
-            .finish_non_exhaustive()
-    }
 }
 
 impl DurableSession {
@@ -473,28 +449,17 @@ impl DurableSession {
     /// Wraps an already-configured store (fault plans, retention).
     pub fn with_store(store: CheckpointStore) -> io::Result<Self> {
         let store = Arc::new(Mutex::new(store));
-        let (tx, rx) = mpsc::channel::<CheckpointJob>();
+        let (tx, rx) = mpsc::channel::<Checkpoint>();
         let writer_store = Arc::clone(&store);
         let writer = thread::Builder::new()
             .name("async-checkpointer".into())
             .spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    let ckpt = Checkpoint {
-                        solver: job.solver.to_string(),
-                        updates: job.updates,
-                        version: job.version,
-                        w: job.w.value().clone(),
-                        history: job.history,
-                        residuals: Some(job.residuals),
-                    };
-                    // Release the pin before the (slow) disk commit so the
-                    // snapshot ring can move on.
-                    drop(job.w);
+                while let Ok(ckpt) = rx.recv() {
                     let bytes = ckpt.to_bytes();
                     let _ = writer_store
                         .lock()
                         .expect("checkpoint store poisoned")
-                        .save(job.generation, &bytes);
+                        .save(ckpt.updates, &bytes);
                 }
             })?;
         Ok(Self {
@@ -521,57 +486,30 @@ impl DurableSession {
         Some(ckpt)
     }
 
-    /// Generation this session resumed from, if any.
-    pub fn resumed_from(&self) -> Option<u64> {
-        self.resumed_from
-    }
-
-    /// Queues one checkpoint capture for the background writer. The
-    /// model `w` rides as a [`ReadPin`]; everything else is owned.
-    /// Duplicate generations (e.g. the final save landing on a cadence
-    /// boundary) are skipped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn submit(
-        &mut self,
-        generation: u64,
-        solver: &'static str,
-        updates: u64,
-        version: u64,
-        w: ReadPin<Vec<f64>>,
-        history: SolverHistory,
-        residuals: Vec<(u64, Vec<f64>)>,
-    ) {
-        if self.last_submitted == Some(generation) {
+    /// Queues one owned checkpoint for the background writer, which
+    /// serializes and commits it as generation `ckpt.updates` (the
+    /// lineage-total update count). Duplicate generations (e.g. the final
+    /// save landing on a cadence boundary) are skipped.
+    pub fn submit(&mut self, ckpt: Checkpoint) {
+        if self.last_submitted == Some(ckpt.updates) {
             return;
         }
-        self.last_submitted = Some(generation);
+        self.last_submitted = Some(ckpt.updates);
         if let Some(tx) = self.tx.as_ref() {
-            let _ = tx.send(CheckpointJob {
-                generation,
-                solver,
-                updates,
-                version,
-                w,
-                history,
-                residuals,
-            });
+            let _ = tx.send(ckpt);
         }
     }
 
     /// Drains the writer (joining its thread) and returns the run's
     /// durability outcome.
-    pub fn finish(mut self) -> DurableStats {
-        drop(self.tx.take());
-        if let Some(writer) = self.writer.take() {
-            let _ = writer.join();
-        }
+    pub fn finish(self) -> DurableStats {
+        let (resumed_from, store) = (self.resumed_from, Arc::clone(&self.store));
+        // Dropping the session closes the channel and joins the writer.
+        drop(self);
+        let store = store.lock().expect("checkpoint store poisoned").counters();
         DurableStats {
-            resumed_from: self.resumed_from,
-            store: self
-                .store
-                .lock()
-                .expect("checkpoint store poisoned")
-                .counters(),
+            resumed_from,
+            store,
         }
     }
 }

@@ -25,6 +25,10 @@
 //! `SimEngine` — see the note in [`asaga`]. `tests/barrier_e2e.rs`,
 //! `tests/msgd_e2e.rs` and `tests/sparse_e2e.rs` have end-to-end runs.
 //!
+//! Each solver is only its update rule: the run around it — resume,
+//! broadcast, serving, the wave loop, checkpoints, drain and report — is
+//! one shared lifecycle in [`solver`].
+//!
 //! All three solvers absorb server-side through the sharded absorption
 //! pipeline ([`absorber::ShardedAbsorber`]): apply passes run
 //! shard-parallel on a persistent thread pool
@@ -42,8 +46,8 @@
 //!
 //! Checkpoints become *durable* through [`durable`]: an atomic on-disk
 //! generation store (temp file + fsync + rename, checksummed manifests),
-//! a background checkpointer that captures snapshots off the hot path via
-//! the read-pin API, and [`SolverCfg::durable_dir`]-driven auto-resume —
+//! a background writer that serializes and commits checkpoints off the
+//! hot path, and [`SolverCfg::durable_dir`]-driven auto-resume —
 //! a restarted driver picks up the newest valid generation, re-seats the
 //! broadcast ring at the crashed run's model version, and continues
 //! bit-identically. [`durable::DiskFaultPlan`] injects torn writes,

@@ -2,24 +2,31 @@
 //!
 //! A solver drives an [`AsyncContext`] with gradient tasks under a
 //! [`BarrierFilter`] and applies collected updates server-side — the shape
-//! of the paper's Listings 3–4. Everything a run produces (convergence
-//! trace, staleness extremes, wait/byte accounting) lands in a
-//! [`RunReport`] so benches and tests read one structure.
+//! of the paper's Listings 3–4. The run around the update rule is one
+//! `RunLifecycle`, generic over a crate-private `SolverStep` that supplies
+//! only the rule itself (name, history, task submit, absorb step).
+//! Everything a run produces (convergence trace, staleness extremes,
+//! wait/byte accounting) lands in a [`RunReport`] so benches and tests
+//! read one structure.
+
+use std::mem;
 
 use async_cluster::{ConvergenceTrace, VDur, VTime};
 use async_core::{
-    AsyncBcast, AsyncContext, BarrierFilter, DegradePolicy, SubmitOpts, WaveDirective,
+    AsyncBcast, AsyncContext, BarrierFilter, DegradePolicy, SubmitOpts, Tagged, TaskAttrs,
+    WaveDirective,
 };
 use async_data::{sampler, Block, Dataset};
 use async_linalg::{GradDelta, ParallelismCfg};
 use sparklet::{Payload, Rdd, WorkerCtx};
 
-use crate::checkpoint::Checkpoint;
+use crate::absorber::ShardedAbsorber;
+use crate::checkpoint::{Checkpoint, SolverHistory};
 use crate::compression::{CompressCfg, CompressorBank};
-use crate::durable::DurableStats;
+use crate::durable::{DurableSession, DurableStats};
 use crate::objective::Objective;
 use crate::scratch::ScratchPool;
-use crate::serving::{ServeCounters, ServeFeed};
+use crate::serving::{PublishedModel, ServeCounters, ServeFeed};
 
 /// Configuration shared by all solvers.
 #[derive(Debug, Clone)]
@@ -48,18 +55,21 @@ pub struct SolverCfg {
     /// Driver-side parallelism for objective evaluations.
     pub eval_threads: ParallelismCfg,
     /// Capture a [`Checkpoint`] of the server state every this many
-    /// updates (0 = never); captured checkpoints land in
-    /// [`RunReport::checkpoints`], ready for `to_bytes` and a later
-    /// `resume_from`.
+    /// updates (0 = never). Without a durable store captured checkpoints
+    /// land in [`RunReport::checkpoints`], ready for `to_bytes` and a
+    /// later `resume_from`; with [`SolverCfg::durable_dir`] set the store
+    /// is the record and each capture goes to disk instead.
     pub checkpoint_every: u64,
     /// Capacity of the incremental-broadcast ring (0 = disabled, the
     /// default): when > 0, the model broadcast keeps the change supports
     /// of this many recent versions and ships version-diff patches to
     /// workers instead of dense snapshots wherever a patch is smaller and
-    /// bit-exact (see `async_core::AsyncBcast::enable_incremental`). The
-    /// ASGD update has a sparse change support only when the objective has
-    /// no ridge term (λ = 0); with λ > 0 every version declares a dense
-    /// change and resolution falls back to full snapshots.
+    /// bit-exact (see `async_core::AsyncBcast::enable_incremental`).
+    /// Every solver honours it, and no value depends on it. Only the ASGD
+    /// update has a sparse change support, and only when the objective has
+    /// no ridge term (λ = 0); with λ > 0, and always for momentum SGD and
+    /// ASAGA, every version declares a dense change and resolution falls
+    /// back to full snapshots.
     pub bcast_ring: usize,
     /// Server-side absorption threads: the model is partitioned into this
     /// many contiguous coordinate shards and every apply pass (ridge
@@ -114,9 +124,9 @@ pub struct SolverCfg {
     /// ([`CompressorBank`]): the shipped message carries only the `k`
     /// largest-magnitude coordinates of the accumulated gradient signal in
     /// the configured wire format, and [`RunReport::result_bytes`] counts
-    /// the compressed frame sizes. On ASGD with an incremental broadcast
-    /// ring, a non-exact `quant` also quantizes the driver → worker
-    /// version-diff patches (`async_core::AsyncBcast::set_patch_quant`).
+    /// the compressed frame sizes. With an incremental broadcast ring, a
+    /// non-exact `quant` also quantizes the driver → worker version-diff
+    /// patches (`async_core::AsyncBcast::set_patch_quant`).
     pub compress: CompressCfg,
     /// Serving rendezvous (`None`, the default, is bit-identical to builds
     /// predating the serving layer). When set, the solver publishes its
@@ -147,11 +157,12 @@ pub struct SolverCfg {
     /// the newest valid generation it finds (model, solver history,
     /// error-feedback residuals, model version, and update budget — the
     /// run completes the crashed run's `max_updates` total), and writes
-    /// each [`SolverCfg::checkpoint_every`]-cadence checkpoint to disk
-    /// through a background writer thread, off the training hot path. An
-    /// explicit `resume_from` on the solver takes precedence over the
-    /// store's contents. The run's durability outcome lands in
-    /// [`RunReport::durable`].
+    /// each [`SolverCfg::checkpoint_every`]-cadence checkpoint (and a
+    /// final one at run end) to disk through a background writer thread,
+    /// off the training hot path. The store is then the run's record:
+    /// [`RunReport::checkpoints`] stays empty. An explicit `resume_from`
+    /// on the solver takes precedence over the store's contents. The
+    /// run's durability outcome lands in [`RunReport::durable`].
     pub durable_dir: Option<std::path::PathBuf>,
 }
 
@@ -426,7 +437,8 @@ pub struct RunReport {
     /// Final objective value (not baseline-subtracted).
     pub final_objective: f64,
     /// Server-state checkpoints captured every
-    /// [`SolverCfg::checkpoint_every`] updates (empty when disabled).
+    /// [`SolverCfg::checkpoint_every`] updates (empty when disabled, and
+    /// empty with [`SolverCfg::durable_dir`] set: the store is the record).
     pub checkpoints: Vec<Checkpoint>,
     /// Serving counters accumulated by readers attached through
     /// [`SolverCfg::serve_feed`] over the run (all zeros without one).
@@ -454,6 +466,18 @@ pub trait AsyncSolver {
     fn run(&mut self, ctx: &mut AsyncContext, dataset: &Dataset, cfg: &SolverCfg) -> RunReport;
 }
 
+/// A task's result message, as the run lifecycle meters and recycles it.
+pub(crate) trait ResultMsg: Send + 'static {
+    /// The model delta the message carries.
+    fn delta(&self) -> &GradDelta;
+    /// Stored feature entries the task's kernels touched.
+    fn entries(&self) -> u64;
+    /// Modeled wire bytes of the message.
+    fn wire_bytes(&self) -> u64;
+    /// Returns the message's buffers to `pool`.
+    fn recycle(self, pool: &ScratchPool);
+}
+
 /// A mini-batch gradient computed by one task — the message shape shared
 /// by the plain-SGD-family solvers ([`crate::Asgd`], [`crate::AsyncMsgd`]).
 pub(crate) struct GradMsg {
@@ -468,34 +492,52 @@ pub(crate) struct GradMsg {
     pub wire_bytes: u64,
 }
 
+impl ResultMsg for GradMsg {
+    fn delta(&self) -> &GradDelta {
+        &self.g
+    }
+    fn entries(&self) -> u64 {
+        self.entries
+    }
+    fn wire_bytes(&self) -> u64 {
+        self.wire_bytes
+    }
+    fn recycle(self, pool: &ScratchPool) {
+        pool.recycle_delta(self.g);
+    }
+}
+
+/// The per-run inputs every task wave is built from.
+pub(crate) struct WaveSource<'a> {
+    pub rdd: &'a Rdd<Block>,
+    pub bcast: &'a AsyncBcast<Vec<f64>>,
+    pub cfg: &'a SolverCfg,
+    /// Expected mini-batch rows per task (the `STAT` table's batch size).
+    pub minibatch_hint: u64,
+    pub pool: &'a ScratchPool,
+    pub bank: &'a CompressorBank,
+}
+
 /// Submits one [`GradMsg`] gradient wave: a mini-batch gradient task per
 /// barrier-admitted worker, with only the current model's 8-byte version
 /// ID as task payload and a cost of ~2 work units per sampled nonzero
-/// (one fused margins-plus-gather pass). Pins the submission version once
-/// per in-flight task; callers pair each pin with an unpin at consumption
-/// (or run end for lost tasks).
+/// (one fused margins-plus-gather pass).
 ///
-/// Tasks draw every transient buffer from `pool` and resolve the model
+/// Tasks draw every transient buffer from the pool and resolve the model
 /// through the incremental path (`value_incremental`, which is exactly the
 /// plain fetch when the broadcast's ring is disabled); results are
 /// bit-identical to the pre-pool implementation.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn submit_grad_wave(
     ctx: &mut AsyncContext,
-    rdd: &Rdd<Block>,
-    bcast: &AsyncBcast<Vec<f64>>,
-    cfg: &SolverCfg,
-    minibatch_hint: u64,
+    src: &WaveSource<'_>,
     objective: Objective,
-    pool: &ScratchPool,
-    bank: &CompressorBank,
 ) -> Vec<usize> {
-    let handle = bcast.handle();
+    let handle = src.bcast.handle();
     let version = ctx.version();
-    let (seed, fraction) = (cfg.seed, cfg.batch_fraction);
-    let compress = cfg.compress;
-    let pool = pool.clone();
-    let bank = bank.clone();
+    let (seed, fraction) = (src.cfg.seed, src.cfg.batch_fraction);
+    let compress = src.cfg.compress;
+    let pool = src.pool.clone();
+    let bank = src.bank.clone();
     let task = move |wctx: &mut WorkerCtx, data: Vec<Block>, part: usize| {
         let block = &data[0];
         let w = handle.value_incremental(wctx);
@@ -521,38 +563,390 @@ pub(crate) fn submit_grad_wave(
     let opts = SubmitOpts {
         extra_bytes: AsyncBcast::<Vec<f64>>::id_ship_bytes(0),
         cost_scale: 2.0 * fraction,
-        minibatch: minibatch_hint,
+        minibatch: src.minibatch_hint,
         ..SubmitOpts::default()
     };
     // The wire form for the remote backend: the request ships the model's
     // wire plan plus the pure sampling inputs, and the worker re-derives
     // the identical batch (`derive_rng` is a pure function of seed,
     // version, and partition). In-process engines ignore it.
-    let routine =
-        crate::remote::grad_routine(rdd, bcast, objective, seed, version, fraction, compress);
-    let submitted = ctx.async_reduce_wired(rdd, &cfg.barrier, opts, task, Some(&routine));
-    // Pin the submission version per in-flight task so a queued task on
-    // the threaded backend can never see its model version pruned.
-    for _ in &submitted {
-        bcast.pin(version);
-    }
-    submitted
+    let routine = crate::remote::grad_routine(
+        src.rdd, src.bcast, objective, seed, version, fraction, compress,
+    );
+    ctx.async_reduce_wired(src.rdd, &src.cfg.barrier, opts, task, Some(&routine))
 }
 
-/// Installs the run's supervision knobs on the context and returns the
-/// `(lost, retried)` counter baselines, so the report can attribute only
-/// this run's losses (contexts are reused across runs).
-pub(crate) fn begin_supervised(ctx: &mut AsyncContext, cfg: &SolverCfg) -> (u64, u64) {
-    ctx.set_degrade_policy(cfg.degrade);
-    ctx.set_retry_lost(cfg.retry_lost);
-    (ctx.lost_tasks(), ctx.retried_tasks())
+/// The step-size factor of a result `staleness` updates old:
+/// `1/(1 + staleness)` under [`SolverCfg::staleness_damping`], else 1.
+pub(crate) fn staleness_damp(cfg: &SolverCfg, staleness: u64) -> f64 {
+    if cfg.staleness_damping {
+        1.0 / (1.0 + staleness as f64)
+    } else {
+        1.0
+    }
+}
+
+/// The part of a run that differs between solvers — in the paper's terms,
+/// the update rule (Listings 3–4). Everything else is [`RunLifecycle`]'s.
+pub(crate) trait SolverStep {
+    /// One task's result.
+    type Msg: ResultMsg;
+    /// Report and checkpoint name (`"asgd"`, `"async-msgd"`, `"asaga"`).
+    const NAME: &'static str;
+
+    /// The objective being minimized.
+    fn objective(&self) -> Objective;
+
+    /// Per-sample history slots of the model broadcast (0: none).
+    fn history_indices(&self) -> u64 {
+        0
+    }
+
+    /// Installs the run's starting history at model `w`: a resumed
+    /// checkpoint's `history` (already checked to be this solver's kind),
+    /// or the cold-start state when `None`. Plain ASGD has none.
+    fn restore(
+        &mut self,
+        _history: Option<SolverHistory>,
+        _w: &[f64],
+        _dataset: &Dataset,
+        _cfg: &SolverCfg,
+        _pool: &ScratchPool,
+    ) {
+    }
+
+    /// The history a checkpoint captures now.
+    fn history(&self) -> SolverHistory;
+
+    /// Submits one task wave at the context's current version and returns
+    /// the admitted workers (the lifecycle pins and records them).
+    fn submit(&self, ctx: &mut AsyncContext, src: &WaveSource<'_>) -> Vec<usize>;
+
+    /// Applies one collected wave to `w` (the lifecycle then meters it,
+    /// releases its pins, and advances the model version). Returns `true`
+    /// when the update's change support is exactly the wave's sparse
+    /// delta support — the precondition for declaring a sparse version
+    /// diff to the incremental broadcast.
+    fn absorb(
+        &mut self,
+        ctx: &AsyncContext,
+        server: &mut ShardedAbsorber,
+        w: &mut [f64],
+        wave: &[Tagged<Self::Msg>],
+        bcast: &AsyncBcast<Vec<f64>>,
+        cfg: &SolverCfg,
+    ) -> bool;
+}
+
+/// Where a run's checkpoints go: the durable store when
+/// [`SolverCfg::durable_dir`] is set, else [`RunReport::checkpoints`].
+enum CheckpointSink {
+    Durable(DurableSession),
+    Memory(Vec<Checkpoint>),
+}
+
+/// The run plumbing every solver shares — durable open and resume, the
+/// broadcast, compression bank, serving feed, pins, the wave loop with its
+/// degrade gate and stall path, metering, eval and checkpoint cadence, the
+/// drain, and the report — around a [`SolverStep`]. Holds what the next
+/// run starts from: an explicit resume checkpoint and an injected
+/// compressor bank, both consumed by [`RunLifecycle::run`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RunLifecycle {
+    pub resume: Option<Checkpoint>,
+    pub bank: Option<CompressorBank>,
+}
+
+impl RunLifecycle {
+    /// Runs `step` to `cfg.max_updates` model updates on a fresh context.
+    pub fn run<S: SolverStep>(
+        &mut self,
+        mut step: S,
+        ctx: &mut AsyncContext,
+        dataset: &Dataset,
+        cfg: &SolverCfg,
+    ) -> RunReport {
+        let name = S::NAME;
+        assert_eq!(ctx.pending(), 0, "{name}: context has in-flight tasks");
+        ctx.set_degrade_policy(cfg.degrade);
+        ctx.set_retry_lost(cfg.retry_lost);
+        // Contexts are reused across runs: report only this run's losses.
+        let (lost0, retried0) = (ctx.lost_tasks(), ctx.retried_tasks());
+        let (blocks, rdd) = block_rdd(ctx, dataset, cfg);
+        let dcols = dataset.cols();
+        let mean_rows = dataset.rows() / blocks.len().max(1);
+        let minibatch_hint = ((mean_rows as f64 * cfg.batch_fraction).ceil() as u64).max(1);
+        let objective = step.objective();
+        // Steady-state buffer recycling: gradients, sampling buffers, and
+        // the result deltas all cycle through the pool.
+        let pool = ScratchPool::new();
+        let bank = self.bank.take().unwrap_or_default();
+
+        // An explicit `resume_from` takes precedence over the durable
+        // store's newest valid generation; a durable auto-resume completes
+        // the crashed run's lineage budget instead of adding a fresh one.
+        let mut sink = match cfg.durable_dir.as_deref() {
+            Some(dir) => {
+                CheckpointSink::Durable(DurableSession::open(dir).unwrap_or_else(|e| {
+                    panic!("{name}: cannot open durable checkpoint store: {e:?}")
+                }))
+            }
+            None => CheckpointSink::Memory(Vec::new()),
+        };
+        let explicit = self.resume.take();
+        let from_store = explicit.is_none();
+        let resume = match (explicit, &mut sink) {
+            (None, CheckpointSink::Durable(session)) => session.take_resume(),
+            (explicit, _) => explicit,
+        };
+        let (mut w, base_updates, base_version, history) = match resume {
+            Some(ckpt) => {
+                ckpt.validate_for(name, dcols)
+                    .unwrap_or_else(|e| panic!("{name}: incompatible resume checkpoint: {e:?}"));
+                assert!(
+                    mem::discriminant(&ckpt.history) == mem::discriminant(&step.history()),
+                    "{name}: checkpoint carries foreign solver history"
+                );
+                for warning in cfg.lint_resume(&ckpt) {
+                    eprintln!("{name} resume: {warning}");
+                }
+                // Continue the crashed run's version numbering: per-task
+                // RNG streams key on (seed, version, part), so re-seating
+                // is what makes the resumed trajectory line up with the
+                // uninterrupted one.
+                ctx.reseat_version(ckpt.version);
+                // Reload the error-feedback residuals so compression
+                // continues bit-identically instead of restarting cold.
+                if let Some(residuals) = &ckpt.residuals {
+                    bank.restore_residuals(residuals);
+                }
+                (ckpt.w, ckpt.updates, ckpt.version, Some(ckpt.history))
+            }
+            None => (vec![0.0; dcols], 0, 0, None),
+        };
+        step.restore(history, &w, dataset, cfg, &pool);
+        let budget = if from_store {
+            cfg.max_updates.saturating_sub(base_updates)
+        } else {
+            cfg.max_updates
+        };
+        // The ring is seated at the resumed version so broadcast IDs keep
+        // the crashed run's numbering.
+        let bcast = ctx.async_broadcast_at(w.clone(), step.history_indices(), base_version);
+        if cfg.bcast_ring > 0 {
+            bcast.enable_incremental(cfg.bcast_ring);
+            // With compression on, the same wire format also applies to
+            // the driver → worker version-diff patches.
+            if let CompressCfg::TopK { quant, .. } = cfg.compress {
+                bcast.set_patch_quant(quant);
+            }
+        }
+        // A bank reused across runs (or re-keyed after churn) keeps only
+        // this run's partition universe — stale entries cannot accrete.
+        bank.retain_parts_below(blocks.len().max(1));
+        if let Some(feed) = cfg.serve_feed.as_ref() {
+            feed.publish(PublishedModel {
+                bcast: bcast.clone(),
+                objective,
+                dim: dcols,
+            });
+        }
+
+        let mut trace = ConvergenceTrace::new();
+        let f0 = objective.full_objective(cfg.eval_threads, dataset, &w);
+        trace.push(ctx.now(), f0 - cfg.baseline);
+
+        let src = WaveSource {
+            rdd: &rdd,
+            bcast: &bcast,
+            cfg,
+            minibatch_hint,
+            pool: &pool,
+            bank: &bank,
+        };
+        let mut pinned = PinLedger::new(&bcast, ctx.workers());
+        submit_pinned(&step, ctx, &src, &mut pinned);
+
+        // The sharded server: apply passes (and snapshot memcpys) run
+        // shard-parallel on its persistent pool; with absorb_batch > 1 a
+        // wave of ready results is absorbed with one snapshot push.
+        let mut server = ShardedAbsorber::new(dcols, cfg.server_threads);
+        let absorb_batch = cfg.absorb_batch.max(1);
+        let mut wave: Vec<Tagged<S::Msg>> = Vec::new();
+        let mut updates = 0u64;
+        let mut tasks_completed = 0u64;
+        let mut max_staleness = 0u64;
+        let mut grad_entries = 0u64;
+        let mut result_bytes = 0u64;
+        let mut wall_clock = ctx.now();
+        while updates < budget {
+            // The degrade-policy gate: FailFast halts on any observed
+            // death, Quorum/BestEffort wait toward scheduled recoveries
+            // when the alive set is too thin to proceed.
+            if !wave_admitted(ctx) {
+                break;
+            }
+            let want = absorb_batch.min((budget - updates) as usize);
+            // Block for the first result, then drain up to `want − 1`
+            // already-arrived ones; empty only when every in-flight task
+            // was lost.
+            wave.clear();
+            ctx.collect_up_to_into(want, &mut wave);
+            if wave.is_empty() {
+                // Total stall: every in-flight task was lost to failures.
+                // If chaos has since revived or joined workers, a fresh
+                // wave restarts the run; otherwise wait for a scheduled
+                // recovery (supervised respawn, scripted revival) — and
+                // only when none exists is the cluster truly dead.
+                if submit_pinned(&step, ctx, &src, &mut pinned) || stalled_should_wait(ctx) {
+                    continue;
+                }
+                break;
+            }
+            let sparse_support = step.absorb(ctx, &mut server, &mut w, &wave, &bcast, cfg);
+            for t in &wave {
+                tasks_completed += 1;
+                max_staleness = max_staleness.max(t.attrs.staleness);
+                grad_entries += t.value.entries();
+                result_bytes += t.value.wire_bytes();
+                pinned.release(&t.attrs);
+            }
+            let prev_updates = updates;
+            updates += wave.len() as u64;
+            // One model version (and one snapshot push) per wave: with
+            // absorb_batch = 1 this is exactly the historical
+            // version-per-delta cadence.
+            ctx.advance_version();
+            let support = if !sparse_support {
+                None
+            } else if wave.len() == 1 {
+                match wave[0].value.delta() {
+                    GradDelta::Sparse(s) => Some(s.indices()),
+                    GradDelta::Dense(_) => None,
+                }
+            } else {
+                Some(server.wave_support())
+            };
+            bcast.push_snapshot_sharded(&w, support, server.pool());
+            for t in wave.drain(..) {
+                t.value.recycle(&pool);
+            }
+            wall_clock = ctx.now();
+            if cfg.eval_every > 0 && crossed_multiple(prev_updates, updates, cfg.eval_every) {
+                let f = objective.full_objective(cfg.eval_threads, dataset, &w);
+                trace.push(wall_clock, f - cfg.baseline);
+            }
+            if cfg.checkpoint_every > 0
+                && crossed_multiple(prev_updates, updates, cfg.checkpoint_every)
+            {
+                sink.capture(&step, base_updates + updates, ctx.version(), &w, &bank);
+            }
+            submit_pinned(&step, ctx, &src, &mut pinned);
+        }
+
+        let final_objective = objective.full_objective(cfg.eval_threads, dataset, &w);
+        trace.push(wall_clock, final_objective - cfg.baseline);
+
+        // Final durable save (deduplicated when the run ended exactly on a
+        // cadence boundary), then drain the writer before reporting.
+        if let CheckpointSink::Durable(_) = sink {
+            sink.capture(&step, base_updates + updates, ctx.version(), &w, &bank);
+        }
+        let (checkpoints, durable) = match sink {
+            CheckpointSink::Durable(session) => (Vec::new(), session.finish()),
+            CheckpointSink::Memory(checkpoints) => (checkpoints, DurableStats::default()),
+        };
+
+        // The run is over: abandon queued retries up front so the drain
+        // doesn't re-issue work nobody will consume, and again afterwards
+        // for tasks lost (and left unplaceable) during the drain itself.
+        ctx.cancel_retries();
+        while let Some(t) = ctx.collect::<S::Msg>() {
+            pinned.release(&t.attrs);
+            t.value.recycle(&pool);
+        }
+        ctx.cancel_retries();
+        // Tasks lost to worker failures never surface: release their pins
+        // so the model versions they held can prune.
+        pinned.release_leftovers();
+
+        let serve = cfg
+            .serve_feed
+            .as_ref()
+            .map(|feed| {
+                feed.mark_done();
+                feed.counters()
+            })
+            .unwrap_or_default();
+
+        RunReport {
+            trace,
+            updates,
+            tasks_completed,
+            max_staleness,
+            wall_clock,
+            mean_wait: ctx.driver().wait_recorder().overall_mean(),
+            bytes_shipped: ctx.driver().total_bytes_shipped(),
+            grad_entries,
+            result_bytes,
+            worker_clocks: ctx.stat().workers.iter().map(|s| s.clock).collect(),
+            final_w: w,
+            final_objective,
+            checkpoints,
+            serve,
+            lost_tasks: ctx.lost_tasks() - lost0,
+            retried_tasks: ctx.retried_tasks() - retried0,
+            durable,
+        }
+    }
+}
+
+impl CheckpointSink {
+    /// The one checkpoint capture: an owned snapshot of the server state
+    /// after `updates` lineage updates at model `version`, sent to the
+    /// sink (the durable session drops a generation it already holds).
+    fn capture<S: SolverStep>(
+        &mut self,
+        step: &S,
+        updates: u64,
+        version: u64,
+        w: &[f64],
+        bank: &CompressorBank,
+    ) {
+        let ckpt = Checkpoint {
+            solver: S::NAME.to_string(),
+            updates,
+            version,
+            w: w.to_vec(),
+            history: step.history(),
+            residuals: Some(bank.export_residuals()),
+        };
+        match self {
+            CheckpointSink::Durable(session) => session.submit(ckpt),
+            CheckpointSink::Memory(checkpoints) => checkpoints.push(ckpt),
+        }
+    }
+}
+
+/// Submits one wave through `step` and pins it; returns whether any
+/// worker was admitted.
+fn submit_pinned<S: SolverStep>(
+    step: &S,
+    ctx: &mut AsyncContext,
+    src: &WaveSource<'_>,
+    pinned: &mut PinLedger,
+) -> bool {
+    let version = ctx.version();
+    let ws = step.submit(ctx, src);
+    pinned.pin_wave(version, &ws);
+    !ws.is_empty()
 }
 
 /// The policy gate at every wave boundary: `Proceed` falls through,
 /// `Wait` blocks toward the engine's next scheduled recovery, `Halt` (or
 /// a wait nothing can satisfy) tells the caller to end the run. With the
 /// default policy and a non-empty alive set this is a pure read.
-pub(crate) fn wave_admitted(ctx: &mut AsyncContext) -> bool {
+fn wave_admitted(ctx: &mut AsyncContext) -> bool {
     match ctx.degrade_directive() {
         WaveDirective::Proceed => true,
         WaveDirective::Halt => false,
@@ -565,52 +959,52 @@ pub(crate) fn wave_admitted(ctx: &mut AsyncContext) -> bool {
 /// when the caller should retry the wave. When nothing is scheduled,
 /// `await_recovery` returns immediately and this reproduces the historical
 /// unconditional give-up.
-pub(crate) fn stalled_should_wait(ctx: &mut AsyncContext) -> bool {
+fn stalled_should_wait(ctx: &mut AsyncContext) -> bool {
     !matches!(ctx.degrade_directive(), WaveDirective::Halt) && ctx.await_recovery()
 }
 
-/// The per-worker ledger of history-broadcast pins held by in-flight (or
-/// lost) tasks. Under static membership a worker holds at most one pin,
-/// but under churn a worker can accumulate pins from *lost* incarnations
-/// (a task dies with its worker and never surfaces) while its revived self
+/// The history-broadcast pins held by in-flight (or lost) tasks, per
+/// worker. Under static membership a worker holds at most one pin, but
+/// under churn a worker can accumulate pins from *lost* incarnations (a
+/// task dies with its worker and never surfaces) while its revived self
 /// holds a live one — so the ledger keeps a list per worker and releases
 /// every leftover at run end. It also grows on demand: mid-run joins push
 /// worker ids past the cluster's starting size.
-pub(crate) struct PinLedger {
+struct PinLedger {
+    bcast: AsyncBcast<Vec<f64>>,
     by_worker: Vec<Vec<u64>>,
 }
 
 impl PinLedger {
-    /// A ledger for a cluster starting with `n` workers.
-    pub fn new(n: usize) -> Self {
+    /// A ledger over `bcast` for a cluster starting with `n` workers.
+    fn new(bcast: &AsyncBcast<Vec<f64>>, n: usize) -> Self {
         Self {
+            bcast: bcast.clone(),
             by_worker: vec![Vec::new(); n],
         }
     }
 
-    /// Records that `worker`'s newly submitted task pinned `version`.
-    pub fn record(&mut self, worker: usize, version: u64) {
-        if self.by_worker.len() <= worker {
-            self.by_worker.resize_with(worker + 1, Vec::new);
-        }
-        self.by_worker[worker].push(version);
-    }
-
-    /// Records a whole submitted wave at `version`.
-    pub fn record_wave(&mut self, version: u64, ws: &[usize]) {
-        for &w in ws {
-            self.record(w, version);
+    /// Pins `version` once per task of a wave submitted to `workers` —
+    /// so a queued task on the threaded backend never sees its version
+    /// pruned, and ASAGA's `record_use` at consumption finds it alive.
+    fn pin_wave(&mut self, version: u64, workers: &[usize]) {
+        for &w in workers {
+            self.bcast.pin(version);
+            if self.by_worker.len() <= w {
+                self.by_worker.resize_with(w + 1, Vec::new);
+            }
+            self.by_worker[w].push(version);
         }
     }
 
-    /// Consumes one pin of `version` held by `worker` (its task's result
-    /// arrived and the caller unpinned the broadcast). A retried task
-    /// completes on a *different* worker than the one whose submission
-    /// recorded the pin, so a primary-key miss falls back to consuming the
-    /// version wherever it was recorded — without the fallback the
-    /// original entry would linger and `release_leftovers` would unpin a
-    /// version the consumer already unpinned.
-    pub fn consume(&mut self, worker: usize, version: u64) {
+    /// Releases the pin of a consumed result. A retried task completes on
+    /// a *different* worker than the one whose submission recorded the
+    /// pin, so a primary-key miss falls back to the version wherever it
+    /// was recorded — without the fallback the original entry would
+    /// linger and `release_leftovers` would unpin it a second time.
+    fn release(&mut self, attrs: &TaskAttrs) {
+        let (worker, version) = (attrs.worker, attrs.issued_version);
+        self.bcast.unpin(version);
         if let Some(pins) = self.by_worker.get_mut(worker) {
             if let Some(i) = pins.iter().position(|&v| v == version) {
                 pins.swap_remove(i);
@@ -627,9 +1021,9 @@ impl PinLedger {
 
     /// Releases every leftover pin — tasks lost to worker failures never
     /// surface, so their versions are unpinned here at run end.
-    pub fn release_leftovers(self, bcast: &AsyncBcast<Vec<f64>>) {
+    fn release_leftovers(self) {
         for v in self.by_worker.into_iter().flatten() {
-            bcast.unpin(v);
+            self.bcast.unpin(v);
         }
     }
 }
@@ -638,43 +1032,8 @@ impl PinLedger {
 /// reached — the wave-aware replacement for `now % every == 0`: identical
 /// for unit steps, and still firing once per crossed multiple when a
 /// batched wave advances `updates` by more than one.
-pub(crate) fn crossed_multiple(prev: u64, now: u64, every: u64) -> bool {
+fn crossed_multiple(prev: u64, now: u64, every: u64) -> bool {
     now / every > prev / every
-}
-
-/// Collects one absorption wave: blocks for the first result, then drains
-/// up to `want − 1` more that have already arrived (`want` is the absorb
-/// batch capped at the remaining update budget). With `want == 1` this is
-/// exactly one `collect` call. `wave` is a reused buffer; it comes back
-/// empty only when every in-flight task was lost.
-pub(crate) fn collect_wave<R: Send + 'static>(
-    ctx: &mut AsyncContext,
-    want: usize,
-    wave: &mut Vec<async_core::Tagged<R>>,
-) {
-    wave.clear();
-    ctx.collect_up_to_into(want.max(1), wave);
-}
-
-/// Drains in-flight [`GradMsg`] tasks (discarding their gradients) and
-/// releases every outstanding pin — including those of tasks lost to
-/// worker failures, which never surface — so the context and the history
-/// broadcast are clean for the next run.
-pub(crate) fn drain_grad_tasks(
-    ctx: &mut AsyncContext,
-    bcast: &AsyncBcast<Vec<f64>>,
-    mut pinned: PinLedger,
-) {
-    // The run is over: abandon queued retries up front so the drain
-    // doesn't re-issue work nobody will consume, and again afterwards for
-    // tasks lost (and left unplaceable) during the drain itself.
-    ctx.cancel_retries();
-    while let Some(t) = ctx.collect::<GradMsg>() {
-        bcast.unpin(t.attrs.issued_version);
-        pinned.consume(t.attrs.worker, t.attrs.issued_version);
-    }
-    ctx.cancel_retries();
-    pinned.release_leftovers(bcast);
 }
 
 /// Partitions `dataset` into `cfg.partitions` blocks (default: one per

@@ -14,6 +14,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use async_core::AsyncBcast;
 use async_data::{sampler, Dataset, SynthSpec};
@@ -48,6 +49,16 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::SeqCst)
+}
+
+/// `ALLOCS` is process-global on purpose (shard-pool threads must be
+/// counted), so a test measuring it must not overlap a sibling test that
+/// allocates: every test here holds this lock for its whole body.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock; its guard protects no data.
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn sparse_dataset() -> Dataset {
@@ -86,6 +97,7 @@ fn iteration(
 
 #[test]
 fn steady_state_iterations_allocate_nothing() {
+    let _serial = serial();
     let dataset = sparse_dataset();
     let blocks = dataset.partition(1);
     let block = &blocks[0];
@@ -117,6 +129,7 @@ fn steady_state_iterations_allocate_nothing() {
 
 #[test]
 fn dense_arm_is_also_allocation_free_once_warm() {
+    let _serial = serial();
     let dataset = sparse_dataset().densified();
     let blocks = dataset.partition(1);
     let block = &blocks[0];
@@ -166,6 +179,7 @@ fn batched_wave(
 
 #[test]
 fn batched_sharded_waves_allocate_nothing() {
+    let _serial = serial();
     // The fold-then-apply wave — per-shard DeltaFold folding, the fused
     // apply pass on the persistent shard pool, and the delta recycling —
     // must be as allocation-free as the per-delta path once warm.
@@ -217,6 +231,7 @@ fn batched_sharded_waves_allocate_nothing() {
 
 #[test]
 fn sharded_snapshot_push_is_allocation_bounded() {
+    let _serial = serial();
     // The shard-parallel snapshot memcpy recycles pruned buffers like the
     // serial push; its only extra steady-state allocation is the small
     // per-push chunk-descriptor vector (bounded by the pool's thread
@@ -243,6 +258,7 @@ fn sharded_snapshot_push_is_allocation_bounded() {
 
 #[test]
 fn snapshot_push_is_allocation_bounded() {
+    let _serial = serial();
     // A broadcast snapshot push recycles pruned buffers: its only
     // steady-state allocation is the new version's `Arc` cell (one per
     // push), never an O(dim) buffer.

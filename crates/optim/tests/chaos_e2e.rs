@@ -390,6 +390,48 @@ fn total_cluster_death_then_revival_restarts_the_run() {
 }
 
 #[test]
+fn retries_queued_at_run_end_are_abandoned_and_counted() {
+    // The whole cluster dies near the end of the run with retries on and
+    // nothing scheduled to recover it: every in-flight task is lost and
+    // queued for re-submission, but no worker is left to take it, so the
+    // run ends with those tickets still queued. The end-of-run drain must
+    // abandon them — each counted in `lost_tasks` — rather than leave
+    // them to leak into the next run on a reused context.
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    type SolverFactory = Box<dyn Fn() -> Box<dyn AsyncSolver>>;
+    let solvers: [(&str, SolverFactory); 3] = [
+        ("asaga", Box::new(move || Box::new(Asaga::new(objective)))),
+        ("asgd", Box::new(move || Box::new(Asgd::new(objective)))),
+        (
+            "async-msgd",
+            Box::new(move || Box::new(AsyncMsgd::new(objective))),
+        ),
+    ];
+    let c = SolverCfg {
+        retry_lost: 2,
+        ..cfg(BarrierFilter::Asp, 120, 11)
+    };
+    for (name, make) in solvers {
+        // Time the blackout at 90% of a clean run's virtual duration.
+        let clean = make().run(&mut sim_ctx(), &d, &c);
+        let at = VTime::from_micros(clean.wall_clock.as_micros() * 9 / 10);
+        let chaos = (0..WORKERS).fold(ChaosSchedule::new(), |s, w| s.kill(at, w));
+        let mut ctx = sim_ctx();
+        ctx.driver_mut().install_chaos(&chaos);
+        let r = make().run(&mut ctx, &d, &c);
+        assert!(
+            r.updates > 90 && r.updates < 120,
+            "{name}: {} updates",
+            r.updates
+        );
+        assert_eq!(ctx.cancel_retries(), 0, "{name}: a retry outlived the run");
+        assert_eq!(r.lost_tasks, WORKERS as u64, "{name}: abandoned tickets");
+        assert_eq!(r.retried_tasks, 0, "{name}");
+    }
+}
+
+#[test]
 fn chaos_asgd_converges_on_the_threaded_engine() {
     // The same elastic scenario on real OS threads: kill, revive, join at
     // real elapsed instants. time_scale=1 maps the modeled microseconds

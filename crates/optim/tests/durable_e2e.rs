@@ -230,13 +230,16 @@ fn cold_start_on_an_empty_store_runs_the_full_budget() {
     assert_eq!(r.updates, 24);
     // Cadence saves at 8, 16, 24 — the store is ready for a future resume.
     assert_eq!(r.durable.store.saves_ok, 3);
-    assert_eq!(
-        CheckpointStore::open(&dir)
-            .unwrap()
-            .latest_valid()
-            .map(|(g, _)| g),
-        Some(24)
+    // With a store the store is the record: nothing piles up in memory,
+    // and the newest valid generation is exactly the final model.
+    assert!(
+        r.checkpoints.is_empty(),
+        "durable runs keep no in-memory list"
     );
+    let (generation, bytes) = CheckpointStore::open(&dir).unwrap().latest_valid().unwrap();
+    assert_eq!(generation, 24);
+    let last = Checkpoint::from_bytes(&bytes).unwrap();
+    assert_eq!(bits(&last.w), bits(&r.final_w));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -343,6 +346,17 @@ fn crash_resume_grid_completes_and_descends_under_chaos() {
                 "{name}/{barrier:?}: phase 2 must auto-resume"
             );
             assert_eq!(r2.updates, 30, "{name}/{barrier:?}: lineage budget");
+            // The store, not the report, records the run: its newest
+            // generation is the final save of the completed lineage.
+            assert!(r2.checkpoints.is_empty(), "{name}/{barrier:?}");
+            let (generation, bytes) = CheckpointStore::open(&dir).unwrap().latest_valid().unwrap();
+            let last = Checkpoint::from_bytes(&bytes).unwrap();
+            assert_eq!((generation, last.solver.as_str()), (60, *name));
+            assert_eq!(
+                bits(&last.w),
+                bits(&r2.final_w),
+                "{name}/{barrier:?}: newest generation is the final model"
+            );
             // The resumed trace starts exactly at the crashed model…
             let resumed_start = r2.trace.points()[0].1;
             assert!(

@@ -2,7 +2,9 @@
 //! an ASGD run with the ring enabled must produce **bit-identical** models
 //! and traces to the dense-full-broadcast run — only the bytes on the wire
 //! may differ — across pin gaps (stragglers), ring evictions (tiny rings),
-//! and churn-revived workers forced onto the full-snapshot fallback.
+//! and churn-revived workers forced onto the full-snapshot fallback. The
+//! momentum and SAGA solvers honour the same ring and stay bit-identical
+//! with it on or off.
 //!
 //! All comparisons run with free communication so the simulator's event
 //! order cannot depend on message sizes; that isolates exactly the claim
@@ -11,7 +13,7 @@
 use async_cluster::{ChaosCfg, ChaosSchedule, ClusterSpec, CommModel, DelayModel, VDur, VTime};
 use async_core::{AsyncContext, BarrierFilter};
 use async_data::{Dataset, SynthSpec};
-use async_optim::{Asgd, AsyncSolver, Objective, RunReport, SolverCfg};
+use async_optim::{Asaga, Asgd, AsyncMsgd, AsyncSolver, Objective, RunReport, SolverCfg};
 use proptest::prelude::*;
 
 fn sparse_dataset(seed: u64) -> Dataset {
@@ -46,6 +48,17 @@ fn run(
     ring: usize,
     chaos: Option<&ChaosSchedule>,
 ) -> RunReport {
+    let mut asgd = Asgd::new(Objective::Logistic { lambda: 0.0 });
+    run_solver(&mut asgd, dataset, delay, ring, chaos)
+}
+
+fn run_solver(
+    solver: &mut dyn AsyncSolver,
+    dataset: &Dataset,
+    delay: DelayModel,
+    ring: usize,
+    chaos: Option<&ChaosSchedule>,
+) -> RunReport {
     let mut c = ctx(4, delay);
     if let Some(schedule) = chaos {
         c.driver_mut().install_chaos(schedule);
@@ -60,7 +73,7 @@ fn run(
         bcast_ring: ring,
         ..SolverCfg::default()
     };
-    Asgd::new(Objective::Logistic { lambda: 0.0 }).run(&mut c, dataset, &cfg)
+    solver.run(&mut c, dataset, &cfg)
 }
 
 fn assert_value_identical(dense: &RunReport, incr: &RunReport) {
@@ -123,6 +136,34 @@ fn churn_revived_workers_fall_back_and_stay_exact() {
     let incr = run(&d, DelayModel::None, 8, Some(&chaos));
     assert_value_identical(&dense, &incr);
     assert!(incr.bytes_shipped <= dense.bytes_shipped);
+
+    // Every solver honours the ring. Momentum declares dense change
+    // supports (every resolution falls back to a full snapshot) and ASAGA
+    // resolves exact historical versions, so for both the ring changes
+    // bookkeeping only — never a value.
+    let objective = Objective::Logistic { lambda: 0.0 };
+    type SolverFactory = Box<dyn Fn() -> Box<dyn AsyncSolver>>;
+    let others: [(&str, SolverFactory); 2] = [
+        (
+            "async-msgd",
+            Box::new(move || Box::new(AsyncMsgd::new(objective))),
+        ),
+        ("asaga", Box::new(move || Box::new(Asaga::new(objective)))),
+    ];
+    for (name, make) in others {
+        let dense = run_solver(&mut *make(), &d, DelayModel::None, 0, Some(&chaos));
+        let incr = run_solver(&mut *make(), &d, DelayModel::None, 8, Some(&chaos));
+        assert_eq!(
+            bits(&dense.final_w),
+            bits(&incr.final_w),
+            "{name}: ring on/off must be bit-identical"
+        );
+        assert_value_identical(&dense, &incr);
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
 }
 
 #[test]
