@@ -21,13 +21,13 @@
 //! # Incremental (version-diffed) broadcast
 //!
 //! With [`AsyncBcast::enable_incremental`] the server additionally keeps a
-//! **bounded ring of per-version change supports**: for every pushed
-//! version, the set of coordinates that version's update modified
-//! (declared by the optimizer through
-//! [`AsyncBcast::push_snapshot_diff`]). When a worker whose newest cached
-//! model is version `v` resolves version `cur`, the server folds the
-//! supports of `v+1..=cur` into one union and ships a **sparse patch** —
-//! the changed coordinates with their *final* values at `cur` — instead of
+//! **bounded ring of per-version diffs**: for every pushed version, the
+//! coordinates that version's update modified (declared by the optimizer
+//! through [`AsyncBcast::push_snapshot_diff`]) together with their values
+//! at that version. When a worker whose newest cached model is version `v`
+//! resolves version `cur`, the server merges the diffs of `v+1..=cur` in
+//! version order — newer values winning — and ships a **sparse patch**:
+//! the changed coordinates with their *final* values at `cur`, instead of
 //! the dense vector. The worker scatter-assigns the patch onto its cached
 //! base, which reconstructs the server model **bit-exactly**: changed
 //! coordinates receive the server's exact values, untouched coordinates
@@ -36,6 +36,33 @@
 //! declared a dense (unknown-support) change, the worker has no cached
 //! base (fresh executors, churn revivals), or the patch would not undercut
 //! the dense wire size.
+//!
+//! # Lazily stored sparse versions
+//!
+//! Because the ring holds each sparse version's values, such a version
+//! needs no dense copy of its own: a sparse-support push with the ring on
+//! stores only its diff. A dense value of a lazily stored version is built
+//! — by copying the newest dense version below it and replaying the ring's
+//! diffs since — only when something needs one, and is then cached in the
+//! version's entry:
+//!
+//! * a snapshot read ([`HistoryHandle::value_at`],
+//!   [`HistoryHandle::wire_plan_at`]) — a fresh or revived worker's fetch —
+//!   or a reader pin ([`AsyncBcast::pin_read`],
+//!   [`AsyncBcast::try_pin_read_at`]);
+//! * the ring about to drop the diff right after a dense version: the
+//!   oldest live lazy version built on it is materialized first, so the
+//!   rest can be built on that one. This keeps the newest dense version
+//!   inside the ring window; unless a reader or a task still pins an older
+//!   version, it materializes the version just pushed — one dense copy per
+//!   ring length.
+//!
+//! A worker that already holds an older model and falls back to a
+//! snapshot (its gap outran the ring) gets a sparse version written into
+//! its own model buffer instead, so its model never aliases a server-side
+//! one. A dense version is never pruned while a later live lazy version is
+//! built on it. Dense pushes ([`AsyncBcast::push`], dense supports, ring
+//! off) store their copy eagerly, exactly as before.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,9 +77,11 @@ use sparklet::{Payload, WorkerCtx};
 pub struct HistoryStats {
     /// Versions pushed so far.
     pub versions_pushed: u64,
-    /// Versions currently retained on the server.
+    /// Versions currently retained on the server (lazily stored ones
+    /// included).
     pub versions_live: u64,
-    /// Bytes currently retained on the server.
+    /// Bytes of dense values currently retained on the server (a lazily
+    /// stored version holds none until it is materialized).
     pub live_bytes: u64,
     /// Worker cache misses served by the server.
     pub fetches: u64,
@@ -63,9 +92,12 @@ pub struct HistoryStats {
     /// Bytes shipped for those patches (included in `fetched_bytes`).
     pub incremental_bytes: u64,
     /// Snapshot buffers recycled from pruned versions by
-    /// [`AsyncBcast::push_snapshot`] (a steady-state push performs a copy,
-    /// not an allocation).
+    /// [`AsyncBcast::push_snapshot`] and by materializations (a
+    /// steady-state dense copy reuses a buffer, not an allocation).
     pub recycled_buffers: u64,
+    /// Dense model copies made by snapshot pushes and by materializations
+    /// of lazily stored versions — the O(dim) work of the version store.
+    pub snapshot_copies: u64,
     /// Patches shipped with quantized (int8/f16) values instead of full
     /// `f64`s (a subset of `incremental_fetches`).
     pub quantized_patches: u64,
@@ -75,7 +107,10 @@ pub struct HistoryStats {
 }
 
 struct Entry<T> {
-    value: Arc<T>,
+    /// The dense value; `None` while the version is stored lazily, as its
+    /// ring diff only (see the module docs).
+    value: Option<Arc<T>>,
+    /// Dense wire size: what a full-snapshot fetch ships and charges.
     bytes: u64,
     rc: u64,
     /// In-flight pins: tasks computing against this version hold a pin
@@ -84,10 +119,11 @@ struct Entry<T> {
     pins: u64,
 }
 
-/// The coordinates one pushed version changed relative to its predecessor.
-enum ChangeSupport {
-    /// Exactly these coordinates changed (strictly increasing).
-    Sparse(Vec<u32>),
+/// What one pushed version changed relative to its predecessor.
+enum Change {
+    /// Exactly these coordinates changed (strictly increasing); `values`
+    /// holds each one's value at this version.
+    Sparse { indices: Vec<u32>, values: Vec<f64> },
     /// Unknown or full-dimension change: any gap spanning this version
     /// must take the full-snapshot fallback.
     Dense,
@@ -107,18 +143,22 @@ struct VersionTable<T> {
     min_live: u64,
     live_count: u64,
     live_bytes: u64,
-    /// Bounded ring of `(version, change support)` for recent pushes; empty
-    /// ring / zero capacity means incremental resolution is disabled.
-    ring: VecDeque<(u64, ChangeSupport)>,
+    /// Bounded ring of `(version, change)` for recent pushes; empty ring /
+    /// zero capacity means incremental resolution is disabled.
+    ring: VecDeque<(u64, Change)>,
     ring_capacity: usize,
+    /// Builds the dense value of a lazily stored version. Lazy versions
+    /// exist only in `Vec<f64>` tables, whose pushes install the builder.
+    materialize: fn(&mut VersionTable<T>, u64),
     /// Value quantization applied to shipped patches (`Exact` = today's
     /// bit-exact full-precision patches).
     patch_quant: Quant,
     /// Recycled storage: snapshot buffers reclaimed from pruned versions
-    /// and support buffers reclaimed from evicted ring slots.
+    /// and diff buffers reclaimed from evicted ring slots.
     free_snapshots: Vec<T>,
-    free_supports: Vec<Vec<u32>>,
+    free_changes: Vec<(Vec<u32>, Vec<f64>)>,
     recycled: u64,
+    copies: u64,
 }
 
 impl<T> VersionTable<T> {
@@ -136,6 +176,31 @@ impl<T> VersionTable<T> {
         (self.index_version.len() as u64) < self.n_indices
     }
 
+    /// The entry of version `v`, if it is known and not pruned.
+    fn live(&self, v: u64) -> Option<&Entry<T>> {
+        let i = v.checked_sub(self.base)?;
+        self.versions.get(i as usize)?.as_ref()
+    }
+
+    fn live_mut(&mut self, v: u64) -> Option<&mut Entry<T>> {
+        let i = v.checked_sub(self.base)?;
+        self.versions.get_mut(i as usize)?.as_mut()
+    }
+
+    fn is_lazy(&self, v: u64) -> bool {
+        self.live(v).is_some_and(|e| e.value.is_none())
+    }
+
+    /// The nearest live version above `v`.
+    fn next_live(&self, v: u64) -> Option<u64> {
+        (v + 1..=self.latest()).find(|&u| self.live(u).is_some())
+    }
+
+    /// The nearest live version below `v`.
+    fn prev_live(&self, v: u64) -> Option<u64> {
+        (self.min_live..v).rev().find(|&u| self.live(u).is_some())
+    }
+
     fn prunable(&self, v: u64) -> bool {
         if v == self.latest() {
             return false;
@@ -143,25 +208,47 @@ impl<T> VersionTable<T> {
         if v == self.base && self.base_pinned() {
             return false;
         }
-        match &self.versions[self.idx(v)] {
-            Some(e) => e.rc == 0 && e.pins == 0,
-            None => false,
+        match self.live(v) {
+            // A dense value stays while the next live version is stored
+            // lazily on top of it.
+            Some(e) if e.rc == 0 && e.pins == 0 => {
+                e.value.is_none() || !self.next_live(v).is_some_and(|u| self.is_lazy(u))
+            }
+            _ => false,
         }
     }
 
-    fn try_prune(&mut self, v: u64) {
-        if self.prunable(v) {
-            let i = self.idx(v);
-            if let Some(e) = self.versions[i].take() {
-                self.live_count -= 1;
-                self.live_bytes -= e.bytes;
-                // Reclaim the snapshot buffer for a later `push_snapshot`
-                // when nothing else still shares it.
-                if self.free_snapshots.len() < 4 {
-                    if let Ok(value) = Arc::try_unwrap(e.value) {
-                        self.free_snapshots.push(value);
-                    }
+    /// Prunes `v` if nothing references it any more; returns whether it did.
+    fn prune(&mut self, v: u64) -> bool {
+        if !self.prunable(v) {
+            return false;
+        }
+        let i = self.idx(v);
+        let Some(e) = self.versions[i].take() else {
+            return false;
+        };
+        self.live_count -= 1;
+        if let Some(value) = e.value {
+            self.live_bytes -= e.bytes;
+            // Reclaim the snapshot buffer for a later dense copy when
+            // nothing else still shares it.
+            if self.free_snapshots.len() < 4 {
+                if let Ok(value) = Arc::try_unwrap(value) {
+                    self.free_snapshots.push(value);
                 }
+            }
+        }
+        true
+    }
+
+    fn try_prune(&mut self, v: u64) {
+        let lazy = self.is_lazy(v);
+        if self.prune(v) && lazy {
+            // `v` may have been the last lazy version built on the dense
+            // version below it. (A pruned dense version changes nothing
+            // below: it had no lazy version built on it.)
+            if let Some(below) = self.prev_live(v) {
+                self.prune(below);
             }
         }
         // Advance the live watermark past pruned slots.
@@ -172,41 +259,125 @@ impl<T> VersionTable<T> {
         }
     }
 
-    /// Records `support` for a freshly pushed `version` in the ring,
-    /// evicting (and recycling) the oldest entry beyond capacity.
-    fn ring_record(&mut self, version: u64, support: ChangeSupport) {
+    /// The dense value of live version `v`, materializing a lazily stored
+    /// one; `None` when `v` is unknown or pruned.
+    fn dense_value(&mut self, v: u64) -> Option<Arc<T>> {
+        if self.is_lazy(v) {
+            (self.materialize)(self, v);
+        }
+        self.live(v)?.value.clone()
+    }
+
+    /// Records `change` for a freshly pushed `version` in the ring,
+    /// evicting (and recycling) the oldest entries beyond capacity.
+    fn ring_record(&mut self, version: u64, change: Change) {
         if self.ring_capacity == 0 {
             return;
         }
-        self.ring.push_back((version, support));
+        self.ring.push_back((version, change));
         while self.ring.len() > self.ring_capacity {
-            if let Some((_, ChangeSupport::Sparse(buf))) = self.ring.pop_front() {
-                if self.free_supports.len() < self.ring_capacity {
-                    self.free_supports.push(buf);
+            let Some(&(evicted, _)) = self.ring.front() else {
+                break;
+            };
+            // The lazy versions built on the dense version just below the
+            // evicted diff would lose a diff they replay: build the oldest
+            // one's dense value while the diff is still here, and the rest
+            // are then built on it. This keeps the newest dense version
+            // inside the ring window — with no reader or task pinning an
+            // older version, it materializes the version just pushed, one
+            // dense copy per ring length.
+            if self.live(evicted - 1).is_some() {
+                if let Some(u) = self.next_live(evicted - 1).filter(|&u| self.is_lazy(u)) {
+                    (self.materialize)(self, u);
+                }
+            }
+            if let Some((_, Change::Sparse { indices, values })) = self.ring.pop_front() {
+                if self.free_changes.len() < self.ring_capacity {
+                    self.free_changes.push((indices, values));
                 }
             }
         }
     }
 
-    /// The sparse supports of versions `from..=to`, if every one of them is
-    /// in the ring with a known sparse support.
-    fn ring_supports(&self, from: u64, to: u64) -> Option<Vec<&[u32]>> {
-        let &(lo, _) = self.ring.front()?;
-        if from < lo || to < from {
-            return None;
+    /// Folds the diffs of versions `from..=to` into `s` as one patch: the
+    /// union of their coordinates, each with its value from the newest
+    /// diff that changed it. Returns `false` when a spanned version has
+    /// left the ring or declared a dense change.
+    fn fold_gap(&self, from: u64, to: u64, s: &mut PatchScratch) -> bool {
+        let Some(&(lo, _)) = self.ring.front() else {
+            return false;
+        };
+        if from < lo || to < from || (to - lo) as usize >= self.ring.len() {
+            return false;
         }
-        let mut out = Vec::with_capacity((to - from + 1) as usize);
-        for v in from..=to {
-            let idx = (v - lo) as usize;
-            match self.ring.get(idx) {
-                Some((rv, ChangeSupport::Sparse(s))) => {
-                    debug_assert_eq!(*rv, v, "ring versions are contiguous");
-                    out.push(s.as_slice());
-                }
-                _ => return None,
+        s.union.clear();
+        s.values.clear();
+        let span = (from - lo) as usize..=(to - lo) as usize;
+        for (rv, change) in self.ring.range(span) {
+            debug_assert!((from..=to).contains(rv), "ring versions are contiguous");
+            let Change::Sparse { indices, values } = change else {
+                return false;
+            };
+            s.merge_newer(indices, values);
+        }
+        true
+    }
+}
+
+impl VersionTable<Vec<f64>> {
+    /// Whether version `v` made a sparse change whose diff is still in the
+    /// ring.
+    fn sparse_in_ring(&self, v: u64) -> bool {
+        let lo = self.ring.front().map_or(u64::MAX, |&(lo, _)| lo);
+        v.checked_sub(lo)
+            .and_then(|i| self.ring.get(i as usize))
+            .is_some_and(|(_, c)| matches!(c, Change::Sparse { .. }))
+    }
+
+    /// Writes live version `v`'s dense value into `buf`: a copy of its own
+    /// dense value or, for a lazily stored version, of the newest dense
+    /// version below it with the ring's diffs since replayed in order.
+    /// Returns the version the copy was taken from.
+    fn write_dense(&self, v: u64, buf: &mut Vec<f64>) -> u64 {
+        debug_assert!(self.live(v).is_some(), "writing pruned version {v}");
+        let (from, base) = (self.min_live..=v)
+            .rev()
+            .find_map(|u| Some((u, self.live(u)?.value.as_deref()?)))
+            .expect("a lazy version's dense base is live");
+        buf.clear();
+        buf.extend_from_slice(base);
+        if from < v {
+            let lo = self.ring.front().map_or(v, |&(lo, _)| lo);
+            debug_assert!(lo <= from + 1, "the ring holds every diff after {from}");
+            let replay = (from + 1 - lo) as usize..=(v - lo) as usize;
+            for (_, change) in self.ring.range(replay) {
+                let Change::Sparse { indices, values } = change else {
+                    unreachable!("a lazy version is built on sparse diffs only");
+                };
+                sparse::scatter_assign(indices, values, buf);
             }
         }
-        Some(out)
+        from
+    }
+
+    /// Builds lazily stored version `v`'s dense value into a recycled
+    /// buffer and caches it in `v`'s entry.
+    fn materialize_lazy(&mut self, v: u64) {
+        let mut buf = match self.free_snapshots.pop() {
+            Some(buf) => {
+                self.recycled += 1;
+                buf
+            }
+            None => Vec::new(),
+        };
+        let from = self.write_dense(v, &mut buf);
+        let e = self.live_mut(v).expect("materializing a live version");
+        e.value = Some(Arc::new(buf));
+        let bytes = e.bytes;
+        self.live_bytes += bytes;
+        self.copies += 1;
+        // The old base may have had no other lazy version built on it.
+        self.try_prune(from);
     }
 }
 
@@ -228,8 +399,52 @@ struct Counters {
 #[derive(Default)]
 struct PatchScratch {
     union: Vec<u32>,
-    tmp: Vec<u32>,
     values: Vec<f64>,
+    tmp_union: Vec<u32>,
+    tmp_values: Vec<f64>,
+}
+
+impl PatchScratch {
+    /// Merges a newer diff into the patch: the union of both coordinate
+    /// sets, taking the newer value where both changed a coordinate.
+    fn merge_newer(&mut self, indices: &[u32], values: &[f64]) {
+        if self.union.is_empty() {
+            self.union.extend_from_slice(indices);
+            self.values.extend_from_slice(values);
+            return;
+        }
+        let (ti, tv) = (&mut self.tmp_union, &mut self.tmp_values);
+        ti.clear();
+        tv.clear();
+        let (a, av) = (&self.union, &self.values);
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < indices.len() {
+            match a[i].cmp(&indices[j]) {
+                std::cmp::Ordering::Less => {
+                    ti.push(a[i]);
+                    tv.push(av[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    ti.push(indices[j]);
+                    tv.push(values[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    ti.push(indices[j]);
+                    tv.push(values[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        ti.extend_from_slice(&a[i..]);
+        tv.extend_from_slice(&av[i..]);
+        ti.extend_from_slice(&indices[j..]);
+        tv.extend_from_slice(&values[j..]);
+        std::mem::swap(&mut self.union, &mut self.tmp_union);
+        std::mem::swap(&mut self.values, &mut self.tmp_values);
+    }
 }
 
 /// Pool of patch scratches: the lock is held only for the pop/push, never
@@ -286,7 +501,7 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
         let bytes = initial.encoded_len();
         let table = VersionTable {
             versions: vec![Some(Entry {
-                value: Arc::new(initial),
+                value: Some(Arc::new(initial)),
                 bytes,
                 rc: 0,
                 pins: 0,
@@ -299,10 +514,12 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
             live_bytes: bytes,
             ring: VecDeque::new(),
             ring_capacity: 0,
+            materialize: |_, v| unreachable!("version {v} of a non-vector broadcast is never lazy"),
             patch_quant: Quant::Exact,
             free_snapshots: Vec::new(),
-            free_supports: Vec::new(),
+            free_changes: Vec::new(),
             recycled: 0,
+            copies: 0,
         };
         Self {
             id,
@@ -321,8 +538,8 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     }
 
     /// Turns on incremental (version-diffed) resolution with a ring of
-    /// `ring_capacity` recent per-version change supports. See the module
-    /// docs; with capacity 0 the broadcast behaves exactly as before.
+    /// `ring_capacity` recent per-version diffs. See the module docs; with
+    /// capacity 0 the broadcast behaves exactly as before.
     pub fn enable_incremental(&self, ring_capacity: usize) {
         self.table.write().ring_capacity = ring_capacity;
     }
@@ -357,7 +574,7 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
         let mut t = self.table.write();
         let prev_latest = t.latest();
         t.versions.push(Some(Entry {
-            value: Arc::new(value),
+            value: Some(Arc::new(value)),
             bytes,
             rc: 0,
             pins: 0,
@@ -365,9 +582,9 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
         t.live_count += 1;
         t.live_bytes += bytes;
         let v = t.latest();
-        t.ring_record(v, ChangeSupport::Dense);
         // The previous latest loses its "latest" pin; prune if unreferenced.
         t.try_prune(prev_latest);
+        t.ring_record(v, Change::Dense);
         self.counters.pushed.fetch_add(1, Ordering::Relaxed);
         v
     }
@@ -397,14 +614,12 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
         for &idx in indices {
             debug_assert!(idx < t.n_indices, "index {idx} out of declared universe");
             let old = t.index_version.insert(idx, version);
-            let i = t.idx(version);
-            if let Some(e) = t.versions[i].as_mut() {
+            if let Some(e) = t.live_mut(version) {
                 e.rc += 1;
             }
             match old {
                 Some(o) => {
-                    let oi = t.idx(o);
-                    if let Some(e) = t.versions[oi].as_mut() {
+                    if let Some(e) = t.live_mut(o) {
                         e.rc -= 1;
                     }
                     t.try_prune(o);
@@ -430,9 +645,7 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     /// Panics if `version` is unknown or already pruned.
     pub fn pin(&self, version: u64) {
         let mut t = self.table.write();
-        let i = t.idx(version);
-        t.versions[i]
-            .as_mut()
+        t.live_mut(version)
             .unwrap_or_else(|| panic!("pin: history version {version} already pruned"))
             .pins += 1;
     }
@@ -441,8 +654,7 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     /// any more.
     pub fn unpin(&self, version: u64) {
         let mut t = self.table.write();
-        let i = t.idx(version);
-        if let Some(e) = t.versions[i].as_mut() {
+        if let Some(e) = t.live_mut(version) {
             debug_assert!(
                 e.pins > 0,
                 "unpin without matching pin on version {version}"
@@ -477,7 +689,8 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     ///
     /// Version resolution and the pin increment happen under one table
     /// lock, so the returned version can never be pruned (nor its snapshot
-    /// buffer recycled) between "pick latest" and "pin it". Unlike
+    /// buffer recycled) between "pick latest" and "pin it". A lazily stored
+    /// version is materialized (and cached) first. Unlike
     /// [`HistoryHandle::value_at`], this touches no worker cache and has no
     /// eviction side effects: it is safe to call from reader threads that
     /// are not part of the cluster at all. The pin is released when the
@@ -485,12 +698,10 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     pub fn pin_read(&self) -> ReadPin<T> {
         let mut t = self.table.write();
         let version = t.latest();
-        let i = t.idx(version);
-        let e = t.versions[i]
-            .as_mut()
-            .expect("latest version is always live");
-        e.pins += 1;
-        let value = Some(Arc::clone(&e.value));
+        let value = t.dense_value(version);
+        t.live_mut(version)
+            .expect("latest version is always live")
+            .pins += 1;
         ReadPin {
             version,
             value,
@@ -504,13 +715,8 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
     /// the pruner.
     pub fn try_pin_read_at(&self, version: u64) -> Option<ReadPin<T>> {
         let mut t = self.table.write();
-        if version < t.base || (version - t.base) as usize >= t.versions.len() {
-            return None;
-        }
-        let i = t.idx(version);
-        let e = t.versions[i].as_mut()?;
-        e.pins += 1;
-        let value = Some(Arc::clone(&e.value));
+        let value = Some(t.dense_value(version)?);
+        t.live_mut(version)?.pins += 1;
         Some(ReadPin {
             version,
             value,
@@ -530,6 +736,7 @@ impl<T: Payload + Send + Sync + 'static> AsyncBcast<T> {
             incremental_fetches: self.counters.incremental_fetches.load(Ordering::Relaxed),
             incremental_bytes: self.counters.incremental_bytes.load(Ordering::Relaxed),
             recycled_buffers: t.recycled,
+            snapshot_copies: t.copies,
             quantized_patches: self.counters.quantized_patches.load(Ordering::Relaxed),
             quantized_patch_bytes: self.counters.quantized_patch_bytes.load(Ordering::Relaxed),
         }
@@ -593,8 +800,7 @@ impl<T: Payload + Send + Sync + 'static> Drop for ReadPin<T> {
         // free pool instead of merely freeing it.
         drop(self.value.take());
         let mut t = self.table.write();
-        let i = t.idx(self.version);
-        if let Some(e) = t.versions[i].as_mut() {
+        if let Some(e) = t.live_mut(self.version) {
             debug_assert!(e.pins > 0, "ReadPin drop without matching pin");
             e.pins = e.pins.saturating_sub(1);
         }
@@ -607,20 +813,26 @@ impl AsyncBcast<Vec<f64>> {
     /// recycling the buffer of a pruned version when one is free, so a
     /// steady-state push is a `memcpy`, not an allocation. Identical
     /// version/pruning semantics (and identical values) to
-    /// `push(w.to_vec())`.
+    /// `push(w.to_vec())`. It declares no change support, so the copy is
+    /// always eager.
     pub fn push_snapshot(&self, w: &[f64]) -> u64 {
         self.push_snapshot_inner(w, None, None)
     }
 
     /// Like [`AsyncBcast::push_snapshot`], additionally declaring which
     /// coordinates this version's update changed: the support of `changed`
-    /// enters the incremental ring, making the version spannable by
-    /// version-diff patches.
+    /// and the new values there enter the incremental ring, making the
+    /// version spannable by version-diff patches. With the ring on, a
+    /// sparse `changed` stores the version lazily — as that diff alone,
+    /// with no dense copy; the model is copied once per ring length, to
+    /// keep a dense version within the ring's reach (see the module docs).
     ///
     /// **Contract:** every coordinate where the new model differs from the
     /// previous version must be in `changed`'s support (a dense `changed`
-    /// records an unknown support, forcing the snapshot fallback). The
-    /// optimizer upholds this by passing exactly the update it applied.
+    /// records an unknown support and copies eagerly, forcing the snapshot
+    /// fallback). The optimizer upholds this by passing exactly the update
+    /// it applied. A lazily stored version is rebuilt from these diffs, so
+    /// a violation corrupts the values every read path returns.
     pub fn push_snapshot_diff(&self, w: &[f64], changed: &GradDelta) -> u64 {
         let sparse_support = match changed {
             GradDelta::Sparse(s) => Some(s.indices()),
@@ -632,16 +844,19 @@ impl AsyncBcast<Vec<f64>> {
     /// Like [`AsyncBcast::push_snapshot_diff`], but the change support
     /// arrives as a bare sorted index slice — the shape the sharded
     /// server's batched absorption produces (the concatenation of its
-    /// per-shard fold supports). `None` declares a dense (unknown) change.
+    /// per-shard fold supports). `None` declares a dense (unknown) change
+    /// and copies eagerly; `Some` is stored lazily under the same rules
+    /// and contract as [`AsyncBcast::push_snapshot_diff`].
     pub fn push_snapshot_with_support(&self, w: &[f64], support: Option<&[u32]>) -> u64 {
         self.push_snapshot_inner(w, support, None)
     }
 
     /// The shard-parallel variant of [`AsyncBcast::push_snapshot_with_support`]:
-    /// the snapshot memcpy is spread over `pool`'s persistent threads in
-    /// contiguous chunks. Byte accounting, recycling, ring bookkeeping and
-    /// the stored values are identical to the serial push — a copy is a
-    /// copy — so the two variants are interchangeable bit for bit.
+    /// a dense snapshot copy, when the push makes one, is spread over
+    /// `pool`'s persistent threads in contiguous chunks. Byte accounting,
+    /// recycling, ring bookkeeping, the lazy/eager choice and the stored
+    /// values are identical to the serial push — a copy is a copy — so the
+    /// two variants are interchangeable bit for bit.
     pub fn push_snapshot_sharded(
         &self,
         w: &[f64],
@@ -663,44 +878,52 @@ impl AsyncBcast<Vec<f64>> {
         let bytes = w.encoded_len();
         let mut t = self.table.write();
         let prev_latest = t.latest();
-        let value = match t.free_snapshots.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                copy_into(w, &mut buf, pool);
-                t.recycled += 1;
-                buf
-            }
-            None => {
-                let mut buf = Vec::new();
-                copy_into(w, &mut buf, pool);
-                buf
-            }
+        // With the ring on, a sparse version is stored as its ring diff
+        // alone; `ring_record` keeps a dense version within reach.
+        let lazy = sparse_support.is_some() && t.ring_capacity > 0;
+        let value = if lazy {
+            t.materialize = VersionTable::materialize_lazy;
+            None
+        } else {
+            let mut buf = match t.free_snapshots.pop() {
+                Some(mut buf) => {
+                    buf.clear();
+                    t.recycled += 1;
+                    buf
+                }
+                None => Vec::new(),
+            };
+            copy_into(w, &mut buf, pool);
+            t.copies += 1;
+            t.live_bytes += bytes;
+            Some(Arc::new(buf))
         };
         t.versions.push(Some(Entry {
-            value: Arc::new(value),
+            value,
             bytes,
             rc: 0,
             pins: 0,
         }));
         t.live_count += 1;
-        t.live_bytes += bytes;
         let v = t.latest();
-        // The support is only copied when the ring will actually keep it:
+        t.try_prune(prev_latest);
+        // The diff is only recorded when the ring will actually keep it:
         // with incremental resolution disabled a diff push costs exactly
         // what a plain snapshot push costs.
         if t.ring_capacity > 0 {
-            let support = match sparse_support {
+            let change = match sparse_support {
                 Some(s) => {
-                    let mut buf = t.free_supports.pop().unwrap_or_default();
-                    buf.clear();
-                    buf.extend_from_slice(s);
-                    ChangeSupport::Sparse(buf)
+                    let (mut indices, mut values) = t.free_changes.pop().unwrap_or_default();
+                    indices.clear();
+                    indices.extend_from_slice(s);
+                    values.clear();
+                    values.extend(s.iter().map(|&i| w[i as usize]));
+                    Change::Sparse { indices, values }
                 }
-                None => ChangeSupport::Dense,
+                None => Change::Dense,
             };
-            t.ring_record(v, support);
+            t.ring_record(v, change);
         }
-        t.try_prune(prev_latest);
         self.counters.pushed.fetch_add(1, Ordering::Relaxed);
         v
     }
@@ -790,6 +1013,28 @@ impl<T: Payload + Send + Sync + 'static> HistoryHandle<T> {
         self.value_at(ctx, self.version)
     }
 
+    /// The dense value of `version` and its wire size. Dense values are
+    /// shared under the read lock; only a lazily stored version takes the
+    /// write lock, to build and cache its value.
+    ///
+    /// # Panics
+    /// Panics if `version` was pruned.
+    fn snapshot(&self, version: u64) -> (Arc<T>, u64) {
+        {
+            let t = self.table.read();
+            let e = t.live(version).unwrap_or_else(|| pruned_in_use(version));
+            if let Some(value) = &e.value {
+                return (Arc::clone(value), e.bytes);
+            }
+        }
+        let mut t = self.table.write();
+        let value = t
+            .dense_value(version)
+            .unwrap_or_else(|| pruned_in_use(version));
+        let bytes = t.live(version).expect("a resolved version is live").bytes;
+        (value, bytes)
+    }
+
     /// Resolves an arbitrary historical `version` — `w_br.value(index)`
     /// in Algorithm 4, with the version looked up by the server at task
     /// submission.
@@ -805,13 +1050,7 @@ impl<T: Payload + Send + Sync + 'static> HistoryHandle<T> {
         if let Some(any) = ctx.cache_get(key) {
             return any.downcast::<T>().expect("history cache type mismatch");
         }
-        let (value, bytes) = {
-            let t = self.table.read();
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            (Arc::clone(&entry.value), entry.bytes)
-        };
+        let (value, bytes) = self.snapshot(version);
         self.counters.fetches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .fetched_bytes
@@ -823,6 +1062,28 @@ impl<T: Payload + Send + Sync + 'static> HistoryHandle<T> {
         );
         value
     }
+}
+
+/// The panic of a read whose version was pruned: the caller failed to keep
+/// it referenced through [`AsyncBcast::record_use`] or a pin.
+fn pruned_in_use(version: u64) -> ! {
+    panic!("history version {version} was pruned while in use")
+}
+
+/// Takes cached model `version` out of a worker cache to patch it forward
+/// — without a copy when the cache was its only owner.
+///
+/// # Panics
+/// Panics if the version is not cached: callers pick it as the cache's
+/// newest model, or (on a networked worker) the driver's mirror did.
+fn take_cached_vec(ctx: &mut WorkerCtx, bcast_id: u64, version: u64) -> Vec<f64> {
+    let cached = ctx
+        .cache_remove((bcast_id, version))
+        .unwrap_or_else(|| panic!("patch base {version} is not cached on the worker"));
+    let base = cached
+        .downcast::<Vec<f64>>()
+        .expect("history cache type mismatch");
+    Arc::try_unwrap(base).unwrap_or_else(|shared| shared.as_ref().clone())
 }
 
 /// Wire size of a sparse patch with `nnz` entries: the `SparseVec` wire
@@ -857,12 +1118,14 @@ impl HistoryHandle<Vec<f64>> {
     /// Resolves the handle's version like [`HistoryHandle::value`], but —
     /// when the broadcast has incremental resolution enabled and the
     /// worker's cache holds an older model — ships a **version-diff patch**
-    /// (the union of the gap's change supports with their final values)
+    /// (the merged diffs of the gap: their union with its final values)
     /// instead of the dense snapshot, scatter-assigning it onto the cached
     /// base. The reconstruction is bit-exact (see the module docs); only
     /// the charged wire bytes differ. Falls back to the full snapshot when
     /// the gap outruns the ring, a spanned version has an unknown support,
-    /// no cached base exists, or the patch would not be smaller.
+    /// no cached base exists, or the patch would not be smaller; when a
+    /// base exists and the target made a sparse change, the snapshot is
+    /// written into the base's own buffer.
     pub fn value_incremental(&self, ctx: &mut WorkerCtx) -> Arc<Vec<f64>> {
         if self.table.read().ring_capacity == 0 {
             // Ring disabled: behave exactly like `value`, watermark
@@ -872,9 +1135,9 @@ impl HistoryHandle<Vec<f64>> {
         let version = self.version;
         // Unlike the watermark eviction of `value_at`, the worker keeps its
         // *newest* cached model even when the server pruned that version —
-        // patching reads only the gap's supports (in the ring) and the
-        // target's values, never the server-side base. Everything older is
-        // evicted, bounding the cache at one model per broadcast.
+        // patching reads only the gap's diffs (in the ring), never a
+        // server-side value. Everything older is evicted, bounding the
+        // cache at one model per broadcast.
         if let Some(newest) = ctx.cache_newest_version(self.bcast_id) {
             ctx.cache_evict_below(self.bcast_id, newest);
         }
@@ -891,57 +1154,15 @@ impl HistoryHandle<Vec<f64>> {
             Some(v) if v < version => v,
             _ => return self.value_at(ctx, version),
         };
-        // Assemble the patch under the table read lock: union the change
-        // supports of the gap, bail to the snapshot fallback if any is
-        // missing/dense or the patch would not undercut the dense wire.
-        // The scratch is checked out of a pool (not locked for the whole
-        // assembly), so concurrent fetches on other workers proceed.
-        let mut scratch = self.patch_scratch.checkout();
-        let PatchScratch { union, tmp, values } = &mut scratch;
-        let (patch_bytes, patch_quant) = {
-            let t = self.table.read();
-            let Some(supports) = t.ring_supports(base_version + 1, version) else {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.value_at(ctx, version);
-            };
-            union.clear();
-            for s in supports {
-                if union.is_empty() {
-                    union.extend_from_slice(s);
-                } else {
-                    sparse::merge_union_u32(union, s, tmp);
-                    std::mem::swap(union, tmp);
-                }
-            }
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            let bytes = qpatch_wire_bytes(t.patch_quant, union.len());
-            if bytes >= entry.bytes {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.value_at(ctx, version);
-            }
-            // The patch carries the coordinates' *final* values at the
-            // target version — scatter-assign reconstructs it exactly.
-            let target = &entry.value;
-            values.clear();
-            values.extend(union.iter().map(|&i| target[i as usize]));
-            (bytes, t.patch_quant)
+        let Some((scratch, patch_bytes, patch_quant)) = self.fold_patch(base_version) else {
+            return self
+                .rebuild_over(ctx, base_version)
+                .unwrap_or_else(|| self.value_at(ctx, version));
         };
         // Take the base out of the worker cache and patch it forward —
         // in place when the worker is the only owner, else via one copy.
-        let base_any = ctx
-            .cache_remove((self.bcast_id, base_version))
-            .expect("newest cached version is present");
-        let base = base_any
-            .downcast::<Vec<f64>>()
-            .expect("history cache type mismatch");
-        let mut w = match Arc::try_unwrap(base) {
-            Ok(owned) => owned,
-            Err(shared) => shared.as_ref().clone(),
-        };
+        let mut w = take_cached_vec(ctx, self.bcast_id, base_version);
+        let (union, values) = (&scratch.union, &scratch.values);
         if patch_quant == Quant::Exact {
             sparse::scatter_assign(union, values, &mut w);
         } else {
@@ -967,22 +1188,98 @@ impl HistoryHandle<Vec<f64>> {
         }
         self.patch_scratch.give_back(scratch);
         let value = Arc::new(w);
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fetched_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
-        self.counters
-            .incremental_fetches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .incremental_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
+        self.count_patch(patch_bytes);
         ctx.cache_put_fetched(
             key,
             value.clone() as Arc<dyn std::any::Any + Send + Sync>,
             patch_bytes,
         );
         value
+    }
+
+    /// Folds the gap `base_version+1..=version` out of the ring into a
+    /// checked-out scratch and prices it as a patch. `None` — with the
+    /// scratch already returned — means the snapshot fallback: a spanned
+    /// diff is missing or dense, or the patch would not undercut the dense
+    /// wire. The scratch is checked out of a pool (not locked for the
+    /// whole assembly), so concurrent fetches on other workers proceed.
+    fn fold_patch(&self, base_version: u64) -> Option<(PatchScratch, u64, Quant)> {
+        let mut scratch = self.patch_scratch.checkout();
+        let t = self.table.read();
+        let priced = if t.fold_gap(base_version + 1, self.version, &mut scratch) {
+            let entry = t
+                .live(self.version)
+                .unwrap_or_else(|| pruned_in_use(self.version));
+            let bytes = qpatch_wire_bytes(t.patch_quant, scratch.union.len());
+            (bytes < entry.bytes).then_some((bytes, t.patch_quant))
+        } else {
+            None
+        };
+        drop(t);
+        match priced {
+            Some((bytes, quant)) => Some((scratch, bytes, quant)),
+            None => {
+                self.patch_scratch.give_back(scratch);
+                None
+            }
+        }
+    }
+
+    /// The snapshot fallback of a worker whose newest cached model is
+    /// `base_version`, when the target made a sparse change still in the
+    /// ring (so a gap beyond the ring, or a patch too large): the target's
+    /// dense value is written into that model's own buffer, which the
+    /// cache then holds at the target version in the base's place. Neither
+    /// side materializes or shares a buffer, so worker and server models
+    /// never alias and each side keeps recycling its own. The fetch is
+    /// charged the dense snapshot bytes, like [`HistoryHandle::value_at`].
+    /// `None` for any other target: the caller takes the shared snapshot.
+    ///
+    /// # Panics
+    /// Panics if the target version was pruned.
+    fn rebuild_over(&self, cache: &mut WorkerCtx, base_version: u64) -> Option<Arc<Vec<f64>>> {
+        let t = self.table.read();
+        let bytes = t
+            .live(self.version)
+            .unwrap_or_else(|| pruned_in_use(self.version))
+            .bytes;
+        if !t.sparse_in_ring(self.version) {
+            return None;
+        }
+        // The old contents are overwritten, so a shared base is not copied.
+        let base = cache
+            .cache_remove((self.bcast_id, base_version))
+            .expect("newest cached version is present")
+            .downcast::<Vec<f64>>()
+            .expect("history cache type mismatch");
+        let mut w = Arc::try_unwrap(base).unwrap_or_default();
+        t.write_dense(self.version, &mut w);
+        drop(t);
+        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .fetched_bytes
+            .fetch_add(bytes, Ordering::Relaxed);
+        let value = Arc::new(w);
+        cache.cache_put_fetched(
+            (self.bcast_id, self.version),
+            value.clone() as Arc<dyn std::any::Any + Send + Sync>,
+            bytes,
+        );
+        Some(value)
+    }
+
+    /// Counts one fetch served as a patch of `bytes`.
+    fn count_patch(&self, bytes: u64) {
+        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .fetched_bytes
+            .fetch_add(bytes, Ordering::Relaxed);
+        self.counters
+            .incremental_fetches
+            .fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .incremental_bytes
+            .fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Plans how to materialize this handle's version on a **networked**
@@ -1022,128 +1319,86 @@ impl HistoryHandle<Vec<f64>> {
             Some(v) if v < version => v,
             _ => return self.wire_plan_at(mirror, version),
         };
-        let mut scratch = self.patch_scratch.checkout();
-        let PatchScratch { union, tmp, values } = &mut scratch;
-        let (patch_bytes, patch_quant, target) = {
-            let t = self.table.read();
-            let Some(supports) = t.ring_supports(base_version + 1, version) else {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.wire_plan_at(mirror, version);
+        let Some((scratch, patch_bytes, patch_quant)) = self.fold_patch(base_version) else {
+            return match self.rebuild_over(mirror, base_version) {
+                // The worker drops its base too, as the mirror just did.
+                Some(values) => WirePlan::Snapshot {
+                    version,
+                    values,
+                    evict_below: base_version + 1,
+                },
+                None => self.wire_plan_at(mirror, version),
             };
-            union.clear();
-            for s in supports {
-                if union.is_empty() {
-                    union.extend_from_slice(s);
-                } else {
-                    sparse::merge_union_u32(union, s, tmp);
-                    std::mem::swap(union, tmp);
-                }
-            }
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            let bytes = qpatch_wire_bytes(t.patch_quant, union.len());
-            if bytes >= entry.bytes {
-                drop(t);
-                self.patch_scratch.give_back(scratch);
-                return self.wire_plan_at(mirror, version);
-            }
-            let target = Arc::clone(&entry.value);
-            values.clear();
-            values.extend(union.iter().map(|&i| target[i as usize]));
-            (bytes, t.patch_quant, target)
         };
-        let indices = union.clone();
-        let patch_values = values.clone();
+        let indices = scratch.union.clone();
+        let patch_values = scratch.values.clone();
         self.patch_scratch.give_back(scratch);
-        let base_any = mirror
-            .cache_remove((self.bcast_id, base_version))
-            .expect("newest cached version is present");
-        self.counters.fetches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .fetched_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
-        self.counters
-            .incremental_fetches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .incremental_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
-        if patch_quant == Quant::Exact {
-            // The patched result *is* the target version: mirror it directly
-            // instead of re-running the scatter driver-side.
-            mirror.cache_put_fetched(
-                key,
-                target as Arc<dyn std::any::Any + Send + Sync>,
-                patch_bytes,
-            );
-            return WirePlan::Patch {
-                base: base_version,
-                version,
-                indices,
-                values: patch_values,
-                evict_below,
-            };
-        }
-        // Quantized patch: codes are computed against the *mirror's* cached
-        // base (which carries the worker's accumulated quantization error,
-        // not the exact history), so the worker's dequantized apply lands on
-        // exactly the vector cached here — driver and worker stay bitwise in
-        // lockstep even though neither holds the exact target.
-        let base_vec = base_any
-            .downcast::<Vec<f64>>()
-            .expect("history cache type mismatch");
-        let mut w = match Arc::try_unwrap(base_vec) {
-            Ok(owned) => owned,
-            Err(shared) => shared.as_ref().clone(),
-        };
-        let mut scale = 0.0f64;
-        for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
-            scale = scale.max((tv - w[i as usize]).abs());
-        }
-        let codes = match patch_quant {
-            Quant::I8 => {
-                let mut codes = Vec::with_capacity(indices.len());
-                for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
-                    let wi = &mut w[i as usize];
-                    let code = compress::quantize_i8(tv - *wi, scale);
-                    *wi += compress::dequantize_i8(code, scale);
-                    codes.push(code);
+        self.count_patch(patch_bytes);
+        // The mirror patches its own cached base forward, exactly as
+        // `WirePlan::apply` does on the worker. A quantized patch's codes
+        // are computed against that base (which carries the worker's
+        // accumulated quantization error, not the exact history), so the
+        // worker's dequantized apply lands on exactly the vector cached
+        // here — driver and worker stay bitwise in lockstep even though
+        // neither holds the exact target.
+        let mut w = take_cached_vec(mirror, self.bcast_id, base_version);
+        let plan = match patch_quant {
+            Quant::Exact => {
+                sparse::scatter_assign(&indices, &patch_values, &mut w);
+                WirePlan::Patch {
+                    base: base_version,
+                    version,
+                    indices,
+                    values: patch_values,
+                    evict_below,
                 }
-                PatchCodes::I8(codes)
             }
-            Quant::F16 => {
-                let mut codes = Vec::with_capacity(indices.len());
+            Quant::I8 | Quant::F16 => {
+                let mut scale = 0.0f64;
                 for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
-                    let wi = &mut w[i as usize];
-                    let code = compress::quantize_f16(tv - *wi, scale);
-                    *wi += compress::dequantize_f16(code, scale);
-                    codes.push(code);
+                    scale = scale.max((tv - w[i as usize]).abs());
                 }
-                PatchCodes::F16(codes)
+                let codes = if patch_quant == Quant::I8 {
+                    let mut codes = Vec::with_capacity(indices.len());
+                    for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
+                        let wi = &mut w[i as usize];
+                        let code = compress::quantize_i8(tv - *wi, scale);
+                        *wi += compress::dequantize_i8(code, scale);
+                        codes.push(code);
+                    }
+                    PatchCodes::I8(codes)
+                } else {
+                    let mut codes = Vec::with_capacity(indices.len());
+                    for (&i, &tv) in indices.iter().zip(patch_values.iter()) {
+                        let wi = &mut w[i as usize];
+                        let code = compress::quantize_f16(tv - *wi, scale);
+                        *wi += compress::dequantize_f16(code, scale);
+                        codes.push(code);
+                    }
+                    PatchCodes::F16(codes)
+                };
+                self.counters
+                    .quantized_patches
+                    .fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .quantized_patch_bytes
+                    .fetch_add(patch_bytes, Ordering::Relaxed);
+                WirePlan::QPatch {
+                    base: base_version,
+                    version,
+                    indices,
+                    scale,
+                    codes,
+                    evict_below,
+                }
             }
-            Quant::Exact => unreachable!("exact patches returned above"),
         };
-        self.counters
-            .quantized_patches
-            .fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .quantized_patch_bytes
-            .fetch_add(patch_bytes, Ordering::Relaxed);
         mirror.cache_put_fetched(
             key,
             Arc::new(w) as Arc<dyn std::any::Any + Send + Sync>,
             patch_bytes,
         );
-        WirePlan::QPatch {
-            base: base_version,
-            version,
-            indices,
-            scale,
-            codes,
-            evict_below,
-        }
+        plan
     }
 
     /// Plans the materialization of an arbitrary historical `version` on a
@@ -1162,13 +1417,7 @@ impl HistoryHandle<Vec<f64>> {
                 evict_below: self.min_live,
             };
         }
-        let (value, bytes) = {
-            let t = self.table.read();
-            let entry = t.versions[t.idx(version)]
-                .as_ref()
-                .unwrap_or_else(|| panic!("history version {version} was pruned while in use"));
-            (Arc::clone(&entry.value), entry.bytes)
-        };
+        let (value, bytes) = self.snapshot(version);
         self.counters.fetches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .fetched_bytes
@@ -1336,16 +1585,7 @@ impl WirePlan {
                 evict_below,
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                let base_any = ctx.cache_remove((bcast_id, base)).unwrap_or_else(|| {
-                    panic!("wire plan expected patch base {base} cached on the worker")
-                });
-                let base_vec = base_any
-                    .downcast::<Vec<f64>>()
-                    .expect("history cache type mismatch");
-                let mut w = match Arc::try_unwrap(base_vec) {
-                    Ok(owned) => owned,
-                    Err(shared) => shared.as_ref().clone(),
-                };
+                let mut w = take_cached_vec(ctx, bcast_id, base);
                 sparse::scatter_assign(&indices, &values, &mut w);
                 let value = Arc::new(w);
                 ctx.cache_put_fetched(
@@ -1364,16 +1604,7 @@ impl WirePlan {
                 evict_below,
             } => {
                 ctx.cache_evict_below(bcast_id, evict_below);
-                let base_any = ctx.cache_remove((bcast_id, base)).unwrap_or_else(|| {
-                    panic!("wire plan expected patch base {base} cached on the worker")
-                });
-                let base_vec = base_any
-                    .downcast::<Vec<f64>>()
-                    .expect("history cache type mismatch");
-                let mut w = match Arc::try_unwrap(base_vec) {
-                    Ok(owned) => owned,
-                    Err(shared) => shared.as_ref().clone(),
-                };
+                let mut w = take_cached_vec(ctx, bcast_id, base);
                 let bytes = qpatch_wire_bytes(codes.quant(), indices.len());
                 match &codes {
                     PatchCodes::I8(c) => {
@@ -1691,11 +1922,15 @@ mod tests {
         let dim = 50;
         let mut warm = WorkerCtx::new(0);
         let b = incr_bcast(dim, 8, &mut warm);
-        b.push_snapshot_diff(&vec![1.0; dim], &sparse_delta(&[(0, 1.0)], dim));
+        let u = sparse_delta(&[(0, 1.0), (1, 2.0)], dim);
+        let mut w = vec![0.0; dim];
+        u.axpy_into(1.0, &mut w);
+        b.push_snapshot_diff(&w, &u);
         // A worker with an empty cache (a churn revival) has no base.
         let mut fresh = WorkerCtx::new(1);
         let v = b.handle().value_incremental(&mut fresh);
-        assert_eq!(v[1], 1.0);
+        assert_eq!(v[1], 2.0);
+        assert_eq!(v.as_slice(), w.as_slice());
         assert_eq!(b.stats().incremental_fetches, 0);
     }
 
@@ -1865,19 +2100,25 @@ mod tests {
         let mut saw_patch = false;
         let mut saw_snapshot = false;
         for k in 0..10u32 {
-            let u = if k == 4 {
-                // One dense update mid-stream forces a snapshot fallback.
-                for wi in w.iter_mut() {
-                    *wi += 0.25;
-                }
-                GradDelta::Dense(vec![0.25; dim])
-            } else {
-                let u = sparse_delta(&[(k % dim as u32, 1.0), (k * 7 % dim as u32, -0.5)], dim);
-                u.axpy_into(1.0, &mut w);
-                u
-            };
-            local.push_snapshot_diff(&w, &u);
-            wired.push_snapshot_diff(&w, &u);
+            // Step 7 skips more sparse versions than the ring holds, a
+            // gap fallback onto a lazily stored version.
+            let pushes = if k == 7 { 6 } else { 1 };
+            for p in 0..pushes {
+                let u = if k == 4 {
+                    // One dense update mid-stream forces a snapshot fallback.
+                    for wi in w.iter_mut() {
+                        *wi += 0.25;
+                    }
+                    GradDelta::Dense(vec![0.25; dim])
+                } else {
+                    let i = k + 11 * p;
+                    let u = sparse_delta(&[(i % dim as u32, 1.0), (i * 7 % dim as u32, -0.5)], dim);
+                    u.axpy_into(1.0, &mut w);
+                    u
+                };
+                local.push_snapshot_diff(&w, &u);
+                wired.push_snapshot_diff(&w, &u);
+            }
             let expect = local.handle().value_incremental(&mut ctx);
             let plan = wired.handle().wire_plan(&mut mirror);
             match &plan {
@@ -2075,6 +2316,93 @@ mod tests {
         let got = b.handle().value_incremental(&mut ctx);
         assert_eq!(got.as_slice(), w.as_slice(), "bit-exact across the base");
         assert_eq!(b.stats().incremental_fetches, 1);
+    }
+
+    /// Every live lazy version can still be built: the newest dense
+    /// version below it is live, and the ring holds a sparse diff for
+    /// every version between the two.
+    fn assert_lazy_versions_buildable(b: &AsyncBcast<Vec<f64>>) {
+        let t = b.table.read();
+        for u in t.min_live..=t.latest() {
+            if !t.is_lazy(u) {
+                continue;
+            }
+            let d = (t.min_live..u)
+                .rev()
+                .find(|&d| t.live(d).is_some_and(|e| e.value.is_some()))
+                .unwrap_or_else(|| panic!("lazy version {u} lost its dense base"));
+            for v in d + 1..=u {
+                let lo = t.ring.front().map_or(u64::MAX, |&(lo, _)| lo);
+                let diff = v.checked_sub(lo).and_then(|i| t.ring.get(i as usize));
+                assert!(
+                    matches!(diff, Some((_, Change::Sparse { .. }))),
+                    "lazy version {u} built on {d} misses the diff of {v}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn dense_bases_of_live_lazy_versions_are_never_pruned() {
+        // A pseudo-random schedule of sparse and dense pushes, task pins
+        // and reader pins held well past the ring and released out of
+        // order, checked against the table after every step.
+        let dim = 64;
+        let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
+        b.enable_incremental(3);
+        let mut models = vec![vec![0.0; dim]];
+        let mut w = vec![0.0; dim];
+        let mut task_pins: Vec<u64> = Vec::new();
+        let mut read_pins: Vec<ReadPin<Vec<f64>>> = Vec::new();
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for _ in 0..600 {
+            match next(10) {
+                0..=4 => {
+                    let i = next(dim as u64) as u32;
+                    let u = sparse_delta(&[(i, 1.0), ((i + 5) % dim as u32, -0.5)], dim);
+                    u.axpy_into(1.0, &mut w);
+                    b.push_snapshot_diff(&w, &u);
+                    models.push(w.clone());
+                }
+                5 if next(4) == 0 => {
+                    let u = GradDelta::Dense(vec![0.125; dim]);
+                    u.axpy_into(1.0, &mut w);
+                    b.push_snapshot_diff(&w, &u);
+                    models.push(w.clone());
+                }
+                6 => {
+                    let v = b.latest_version();
+                    b.pin(v);
+                    task_pins.push(v);
+                }
+                7 if !task_pins.is_empty() => {
+                    let k = next(task_pins.len() as u64) as usize;
+                    b.unpin(task_pins.remove(k));
+                }
+                8 => read_pins.push(b.pin_read()),
+                9 if !read_pins.is_empty() => {
+                    let k = next(read_pins.len() as u64) as usize;
+                    drop(read_pins.remove(k));
+                }
+                _ => {}
+            }
+            assert_lazy_versions_buildable(&b);
+            for p in &read_pins {
+                assert_eq!(*p.value(), models[p.version() as usize]);
+            }
+        }
+        for v in task_pins {
+            let got = b.handle().value_at(&mut WorkerCtx::new(1), v);
+            assert_eq!(*got, models[v as usize], "task-pinned version {v}");
+        }
+        let s = b.stats();
+        assert!(s.snapshot_copies > 0 && s.snapshot_copies < s.versions_pushed / 2);
     }
 
     #[test]

@@ -61,10 +61,12 @@ pub struct SolverCfg {
     /// is the record and each capture goes to disk instead.
     pub checkpoint_every: u64,
     /// Capacity of the incremental-broadcast ring (0 = disabled, the
-    /// default): when > 0, the model broadcast keeps the change supports
-    /// of this many recent versions and ships version-diff patches to
-    /// workers instead of dense snapshots wherever a patch is smaller and
-    /// bit-exact (see `async_core::AsyncBcast::enable_incremental`).
+    /// default): when > 0, the model broadcast keeps the diffs (changed
+    /// coordinates and their values) of this many recent versions, ships
+    /// version-diff patches to workers instead of dense snapshots wherever
+    /// a patch is smaller and bit-exact, and stores sparse versions as
+    /// those diffs, copying the model once per ring length instead of on
+    /// every update (see `async_core::AsyncBcast::enable_incremental`).
     /// Every solver honours it, and no value depends on it. Only the ASGD
     /// update has a sparse change support, and only when the objective has
     /// no ridge term (λ = 0); with λ > 0, and always for momentum SGD and

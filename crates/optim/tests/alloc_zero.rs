@@ -9,8 +9,9 @@
 //!
 //! Scope: this is the per-iteration compute-and-absorb cycle the
 //! `ScratchPool` exists for. Engine-side costs outside it (boxing a task
-//! closure, the 1-allocation `Arc` cell of a broadcast snapshot push) are
-//! bounded separately by `snapshot_push_is_allocation_bounded`.
+//! closure, the `Arc` cell of a broadcast snapshot push or of a patched
+//! worker model) are bounded separately by `snapshot_push_is_allocation_bounded`
+//! and `warm_incremental_fetch_allocates_one_cell`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,8 +19,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use async_core::AsyncBcast;
 use async_data::{sampler, Dataset, SynthSpec};
-use async_linalg::GradDelta;
+use async_linalg::{GradDelta, SparseVec};
 use async_optim::{Objective, ScratchPool, ShardedAbsorber};
+use sparklet::WorkerCtx;
 
 struct CountingAlloc;
 
@@ -239,14 +241,20 @@ fn sharded_snapshot_push_is_allocation_bounded() {
     let dim = 8_000;
     let pool = async_linalg::ShardPool::new(4);
     let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
-    let w = vec![1.0; dim];
+    // Each push changes exactly its declared support {3, 77}.
+    let mut w = vec![0.0; dim];
+    let push = |w: &mut Vec<f64>| {
+        w[3] += 1.0;
+        w[77] -= 1.0;
+        b.push_snapshot_sharded(w, Some(&[3, 77]), &pool);
+    };
     for _ in 0..10 {
-        b.push_snapshot_sharded(&w, Some(&[3, 77]), &pool);
+        push(&mut w);
     }
     let before = allocations();
     const PUSHES: u64 = 25;
     for _ in 0..PUSHES {
-        b.push_snapshot_sharded(&w, Some(&[3, 77]), &pool);
+        push(&mut w);
     }
     let per_push = (allocations() - before) as f64 / PUSHES as f64;
     assert!(
@@ -259,28 +267,81 @@ fn sharded_snapshot_push_is_allocation_bounded() {
 #[test]
 fn snapshot_push_is_allocation_bounded() {
     let _serial = serial();
-    // A broadcast snapshot push recycles pruned buffers: its only
-    // steady-state allocation is the new version's `Arc` cell (one per
-    // push), never an O(dim) buffer.
+    // With the ring on, a sparse push stores its diff in a recycled ring
+    // slot and no dense copy; one push per ring length copies the model,
+    // into a buffer recycled from a pruned version. So the steady state
+    // allocates at most a few small cells per push, never an O(dim)
+    // buffer, and makes one dense copy per ring length.
+    const RING: u64 = 8;
     let dim = 8_000;
     let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
-    b.enable_incremental(8);
-    let w = vec![1.0; dim];
-    let support = GradDelta::Sparse(
-        async_linalg::SparseVec::from_pairs(vec![(3, 1.0), (77, -1.0)], dim).unwrap(),
-    );
+    b.enable_incremental(RING as usize);
+    let update = GradDelta::Sparse(SparseVec::from_pairs(vec![(3, 1.0), (77, -1.0)], dim).unwrap());
+    let mut w = vec![0.0; dim];
+    let push = |w: &mut Vec<f64>| {
+        update.axpy_into(1.0, w);
+        b.push_snapshot_diff(w, &update);
+    };
     for _ in 0..10 {
-        b.push_snapshot_diff(&w, &support);
+        push(&mut w);
     }
+    let warm = b.stats();
     let before = allocations();
     const PUSHES: u64 = 25;
     for _ in 0..PUSHES {
-        b.push_snapshot_diff(&w, &support);
+        push(&mut w);
     }
     let per_push = (allocations() - before) as f64 / PUSHES as f64;
     assert!(
         per_push <= 2.0,
         "snapshot push should cost O(1) small allocations, got {per_push} per push"
     );
-    assert!(b.stats().recycled_buffers >= 30);
+    let s = b.stats();
+    let copies = s.snapshot_copies - warm.snapshot_copies;
+    assert!(
+        copies <= PUSHES.div_ceil(RING) + 1,
+        "{copies} dense copies over {PUSHES} pushes with a ring of {RING}"
+    );
+    assert_eq!(
+        s.recycled_buffers - warm.recycled_buffers,
+        copies,
+        "every steady-state dense copy reuses a pruned buffer"
+    );
+}
+
+#[test]
+fn warm_incremental_fetch_allocates_one_cell() {
+    let _serial = serial();
+    // A worker one version behind patches its cached model forward in
+    // place: folding the one-version gap out of the ring reuses pooled
+    // scratch, so the only allocation is the result's `Arc` cell.
+    let dim = 8_000;
+    let b: AsyncBcast<Vec<f64>> = AsyncBcast::new(0, vec![0.0; dim], 0);
+    b.enable_incremental(8);
+    let mut ctx = WorkerCtx::new(0);
+    b.handle().value_incremental(&mut ctx);
+    let mut w = vec![0.0; dim];
+    let mut step = |k: u32, ctx: &mut WorkerCtx| -> u64 {
+        let pairs = vec![(k % 97, 1.0), (100 + k % 89, -0.5), (4_000 + k, 0.25)];
+        let u = GradDelta::Sparse(SparseVec::from_pairs(pairs, dim).unwrap());
+        u.axpy_into(1.0, &mut w);
+        b.push_snapshot_diff(&w, &u);
+        let h = b.handle();
+        let before = allocations();
+        let got = h.value_incremental(ctx);
+        let allocated = allocations() - before;
+        assert_eq!(got.as_slice(), w.as_slice(), "fetch {k}");
+        allocated
+    };
+    for k in 0..20 {
+        step(k, &mut ctx);
+    }
+    for k in 20..60 {
+        let allocated = step(k, &mut ctx);
+        assert!(
+            allocated <= 1,
+            "warm one-version fetch {k} made {allocated} allocations"
+        );
+    }
+    assert_eq!(b.stats().incremental_fetches, 60);
 }
