@@ -8,12 +8,13 @@
 //! broadcast state), and **join** a brand-new executor (assigned the next
 //! dense worker id).
 //!
-//! A schedule is a passive description; engines consume it through the
+//! A schedule is a passive description. The one way to install it is the
 //! driver's `install_chaos`, which maps events onto the engine's own
-//! scheduling primitives (the simulator's deterministic event queue, the
-//! threaded backend's elapsed-time checks). The same schedule therefore
+//! scheduling primitives: the simulator's deterministic event queue, or
+//! the chaos timer the threaded and remote backends share, which applies
+//! events once real elapsed time passes them. The same schedule therefore
 //! replays bit-identically on the simulator and approximately — at real
-//! elapsed instants — on OS threads.
+//! elapsed instants — on OS threads and worker processes.
 //!
 //! [`ChaosSchedule::random`] generates valid random scripts (never killing
 //! the last alive worker, only reviving dead ones) and

@@ -447,6 +447,8 @@ pub struct RunReport {
     pub serve: ServeCounters,
     /// Tasks abandoned to worker failures over this run (losses that were
     /// not, or could no longer be, retried under [`SolverCfg::retry_lost`]).
+    /// A task lost in the end-of-run drain, after the update loop stopped,
+    /// is not counted: its result would have been discarded anyway.
     pub lost_tasks: u64,
     /// Lost tasks successfully re-submitted to surviving workers over this
     /// run (always 0 with retries off).
@@ -860,9 +862,13 @@ impl RunLifecycle {
         };
 
         // The run is over: abandon queued retries up front so the drain
-        // doesn't re-issue work nobody will consume, and again afterwards
-        // for tasks lost (and left unplaceable) during the drain itself.
+        // doesn't re-issue work nobody will consume; those tasks were lost
+        // while the run still needed them and count as lost. A task lost
+        // during the drain costs the run nothing (the drain discards every
+        // result), so losses are counted before it, and the second cancel
+        // only clears retries left unplaceable by the drain.
         ctx.cancel_retries();
+        let lost_tasks = ctx.lost_tasks() - lost0;
         while let Some(t) = ctx.collect::<S::Msg>() {
             pinned.release(&t.attrs);
             t.value.recycle(&pool);
@@ -896,7 +902,7 @@ impl RunLifecycle {
             final_objective,
             checkpoints,
             serve,
-            lost_tasks: ctx.lost_tasks() - lost0,
+            lost_tasks,
             retried_tasks: ctx.retried_tasks() - retried0,
             durable,
         }

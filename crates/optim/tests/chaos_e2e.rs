@@ -432,6 +432,37 @@ fn retries_queued_at_run_end_are_abandoned_and_counted() {
 }
 
 #[test]
+fn tasks_lost_in_the_end_of_run_drain_are_not_counted() {
+    // The budget is spent while the other workers still have tasks in
+    // flight, and the whole cluster dies just after, inside the drain that
+    // discards those stragglers. Their results were never going to be
+    // used, so the run lost nothing.
+    let d = dataset();
+    let objective = Objective::LeastSquares { lambda: 1e-3 };
+    let c = SolverCfg {
+        retry_lost: 2,
+        ..cfg(BarrierFilter::Asp, 120, 11)
+    };
+    let clean = Asgd::new(objective).run(&mut sim_ctx(), &d, &c);
+    let at = clean.wall_clock + VDur::from_micros(1);
+    let chaos = (0..WORKERS).fold(ChaosSchedule::new(), |s, w| s.kill(at, w));
+    let mut ctx = sim_ctx();
+    ctx.driver_mut().install_chaos(&chaos);
+    let r = Asgd::new(objective).run(&mut ctx, &d, &c);
+    assert_eq!(r.updates, 120);
+    assert_eq!(
+        r.wall_clock, clean.wall_clock,
+        "the kills land after the loop"
+    );
+    assert!(
+        ctx.lost_tasks() >= 1,
+        "the blackout must strand in-flight stragglers in the drain"
+    );
+    assert_eq!(r.lost_tasks, 0, "drain-time losses cost the run nothing");
+    assert_eq!(ctx.retries_pending(), 0, "no retry outlives the run");
+}
+
+#[test]
 fn chaos_asgd_converges_on_the_threaded_engine() {
     // The same elastic scenario on real OS threads: kill, revive, join at
     // real elapsed instants. time_scale=1 maps the modeled microseconds

@@ -44,15 +44,17 @@ fn cfg(max_updates: u64, seed: u64) -> SolverCfg {
 /// A remote context over real worker processes: the `async_worker` binary
 /// built from this crate, one process per worker, loopback TCP.
 fn remote_ctx(time_scale: f64, chaos: Option<ChaosSchedule>) -> AsyncContext {
-    let mut b = EngineBuilder::remote()
+    let engine = EngineBuilder::remote()
         .spec(quiet_spec())
         .time_scale(time_scale)
-        .worker_bin(env!("CARGO_BIN_EXE_async_worker"));
+        .worker_bin(env!("CARGO_BIN_EXE_async_worker"))
+        .build()
+        .expect("spawn workers over loopback TCP");
+    let mut ctx = AsyncContext::new(Driver::from_engine(engine));
     if let Some(s) = chaos {
-        b = b.chaos(s);
+        ctx.driver_mut().install_chaos(&s);
     }
-    let engine = b.build().expect("spawn workers over loopback TCP");
-    AsyncContext::new(Driver::from_engine(engine))
+    ctx
 }
 
 #[test]

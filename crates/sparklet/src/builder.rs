@@ -5,9 +5,10 @@
 //! before this module each call site (driver constructors, benches,
 //! examples, e2e tests) wired its backend up by hand. [`EngineBuilder`]
 //! centralizes that: pick an [`EngineKind`], set the cluster spec, time
-//! scale, chaos schedule, and (for the remote backend) transport options,
-//! and get a `Box<dyn Engine>` back. Adding backend #4 is one enum variant
-//! and one `build` arm.
+//! scale, and (for the remote backend) transport options, and get a
+//! `Box<dyn Engine>` back. Adding backend #4 is one enum variant and one
+//! `build` arm. Membership chaos is installed afterwards, through
+//! [`Driver::install_chaos`](crate::driver::Driver::install_chaos).
 //!
 //! ```
 //! use async_cluster::{ClusterSpec, DelayModel};
@@ -24,7 +25,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use async_cluster::{ChaosAction, ChaosSchedule, ClusterSpec, DelayModel};
+use async_cluster::{ClusterSpec, DelayModel};
 
 use crate::engine::{Engine, EngineError};
 use crate::fault::FaultPlan;
@@ -51,13 +52,11 @@ pub struct EngineBuilder {
     kind: EngineKind,
     spec: ClusterSpec,
     time_scale: f64,
-    chaos: Option<ChaosSchedule>,
     addr: String,
     worker_bin: Option<PathBuf>,
     worker_args: Vec<String>,
     loopback: Option<Arc<dyn Fn() -> RoutineRegistry + Send + Sync>>,
     handshake_timeout: Option<Duration>,
-    poll_interval: Option<Duration>,
     heartbeat: Option<Duration>,
     liveness: Option<Duration>,
     task_deadline: Option<Duration>,
@@ -67,19 +66,17 @@ pub struct EngineBuilder {
 
 impl EngineBuilder {
     /// A builder for `kind` with a 1-worker default spec, `time_scale`
-    /// 0.01, no chaos, and loopback transport defaults.
+    /// 0.01, and loopback transport defaults.
     pub fn new(kind: EngineKind) -> Self {
         Self {
             kind,
             spec: ClusterSpec::homogeneous(1, DelayModel::None),
             time_scale: 0.01,
-            chaos: None,
             addr: "127.0.0.1:0".to_string(),
             worker_bin: None,
             worker_args: Vec::new(),
             loopback: None,
             handshake_timeout: None,
-            poll_interval: None,
             heartbeat: None,
             liveness: None,
             task_deadline: None,
@@ -114,15 +111,6 @@ impl EngineBuilder {
     /// backends; the simulator ignores it).
     pub fn time_scale(mut self, scale: f64) -> Self {
         self.time_scale = scale;
-        self
-    }
-
-    /// Installs `schedule`'s kill/revive/join events on the built engine.
-    /// On the simulator they fire at exact virtual instants; on the
-    /// threaded and remote backends at elapsed real time — for the remote
-    /// backend that means actual process kills and respawns.
-    pub fn chaos(mut self, schedule: ChaosSchedule) -> Self {
-        self.chaos = Some(schedule);
         self
     }
 
@@ -164,13 +152,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Cap on each deadline-aware wait in the remote result pump (default
-    /// 500 µs); only applies while a timer is armed.
-    pub fn poll_interval(mut self, d: Duration) -> Self {
-        self.poll_interval = Some(d);
-        self
-    }
-
     /// Remote worker heartbeat period (default: no heartbeats).
     pub fn heartbeat(mut self, period: Duration) -> Self {
         self.heartbeat = Some(period);
@@ -209,7 +190,7 @@ impl EngineBuilder {
     /// remote construction returns [`EngineError::Io`] on bind, spawn, or
     /// handshake failure — including a missing worker binary.
     pub fn build(self) -> Result<Box<dyn Engine>, EngineError> {
-        let mut engine: Box<dyn Engine> = match self.kind {
+        Ok(match self.kind {
             EngineKind::Sim => Box::new(SimEngine::new(self.spec)),
             EngineKind::Threaded => Box::new(ThreadedEngine::new(self.spec, self.time_scale)),
             EngineKind::Remote => {
@@ -231,7 +212,6 @@ impl EngineBuilder {
                     addr: self.addr,
                     launcher,
                     handshake_timeout: self.handshake_timeout.unwrap_or(defaults.handshake_timeout),
-                    poll_interval: self.poll_interval.unwrap_or(defaults.poll_interval),
                     heartbeat: self.heartbeat,
                     liveness: self.liveness,
                     task_deadline: self.task_deadline,
@@ -240,24 +220,13 @@ impl EngineBuilder {
                 };
                 Box::new(RemoteEngine::new(self.spec, self.time_scale, cfg)?)
             }
-        };
-        if let Some(schedule) = self.chaos {
-            for ev in schedule.events() {
-                match ev.action {
-                    ChaosAction::Kill(w) => engine.schedule_failure(w, ev.at),
-                    ChaosAction::Revive(w) => engine.schedule_revival(w, ev.at),
-                    ChaosAction::Join => engine.schedule_join(ev.at),
-                }
-            }
-        }
-        Ok(engine)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use async_cluster::VTime;
 
     #[test]
     fn builds_each_in_process_backend() {
@@ -286,31 +255,5 @@ mod tests {
             Ok(_) => panic!("expected spawn failure"),
         };
         assert!(matches!(err, EngineError::Io(_)), "got {err}");
-    }
-
-    #[test]
-    fn chaos_schedule_installs_on_the_built_engine() {
-        let schedule = ChaosSchedule::new()
-            .kill(VTime::from_micros(10), 1)
-            .revive(VTime::from_micros(20), 1)
-            .join(VTime::from_micros(30));
-        let mut sim = EngineBuilder::sim()
-            .spec(ClusterSpec::homogeneous(2, DelayModel::None))
-            .chaos(schedule)
-            .build()
-            .unwrap();
-        // The sim applies scheduled events when the clock reaches them;
-        // with nothing in flight, next() drains the membership stream.
-        let mut downs = 0;
-        let mut ups = 0;
-        while let Some(c) = sim.next() {
-            match c {
-                crate::engine::Completion::WorkerDown { .. } => downs += 1,
-                crate::engine::Completion::WorkerUp { .. } => ups += 1,
-                _ => {}
-            }
-        }
-        assert_eq!((downs, ups), (1, 2));
-        assert_eq!(sim.workers(), 3);
     }
 }

@@ -332,7 +332,7 @@ impl Driver {
     }
 
     /// Schedules a failure at a virtual instant (real elapsed time on the
-    /// threaded backend).
+    /// threaded and remote backends).
     pub fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
         self.engine.schedule_failure(w, at);
     }
@@ -348,7 +348,7 @@ impl Driver {
     /// Id-allocation timing differs by backend: the simulator assigns the
     /// joiner's id at *scheduling* time (so `workers()` grows immediately,
     /// though the worker stays dead until its instant), while the threaded
-    /// backend assigns it when the event *fires*. Either way the worker
+    /// and remote backends assign it when the event *fires*. Either way the worker
     /// only becomes schedulable once its [`Completion::WorkerUp`] pops.
     pub fn schedule_join(&mut self, at: VTime) {
         self.engine.schedule_join(at);
@@ -358,7 +358,9 @@ impl Driver {
     /// Installs a whole membership-churn script: every event is mapped to
     /// the engine's scheduling primitives (the simulator fires them at
     /// exact virtual instants inside its deterministic event queue; the
-    /// threaded backend applies them when real elapsed time passes them).
+    /// threaded and remote backends apply them when real elapsed time
+    /// passes them — on the remote backend as actual process kills and
+    /// respawns).
     pub fn install_chaos(&mut self, schedule: &ChaosSchedule) {
         for ev in schedule.events() {
             match ev.action {
@@ -1083,6 +1085,31 @@ mod tests {
         while d.next_completion().is_some() {}
         assert_eq!(d.workers(), 4);
         assert_eq!(d.alive_workers(), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn install_chaos_schedules_every_event_on_the_engine() {
+        use async_cluster::ChaosSchedule;
+        let mut d = sim_driver(2, DelayModel::None);
+        d.install_chaos(
+            &ChaosSchedule::new()
+                .kill(VTime::from_micros(10), 1)
+                .revive(VTime::from_micros(20), 1)
+                .join(VTime::from_micros(30)),
+        );
+        // The sim applies scheduled events when the clock reaches them;
+        // with nothing in flight, the pump drains the membership stream.
+        let mut downs = 0;
+        let mut ups = 0;
+        while let Some(c) = d.next_completion() {
+            match c {
+                Completion::WorkerDown { .. } => downs += 1,
+                Completion::WorkerUp { .. } => ups += 1,
+                _ => {}
+            }
+        }
+        assert_eq!((downs, ups), (1, 2));
+        assert_eq!(d.workers(), 3);
     }
 
     #[test]

@@ -2,16 +2,20 @@
 //!
 //! An [`Engine`] is a cluster of workers that execute opaque [`Task`]s.
 //! The driver submits a task to a specific (available) worker and later
-//! receives a [`Completion`]. Two implementations exist:
+//! receives a [`Completion`]. Three implementations exist:
 //!
 //! * [`crate::sim::SimEngine`] — deterministic virtual-time simulation;
-//! * [`crate::threaded::ThreadedEngine`] — real OS threads and real delays.
+//! * [`crate::threaded::ThreadedEngine`] — real OS threads and real delays;
+//! * [`crate::remote::RemoteEngine`] — worker processes over TCP.
 //!
-//! Both give the *same semantics*: a task conceptually begins executing
-//! against the state captured at submission (exactly like a Spark task
-//! shipping with its broadcast snapshot) and its result arrives after the
-//! modelled/real duration. Asynchronous algorithms built on top observe
-//! stale results precisely as they would on a real cluster.
+//! All three keep worker liveness, incarnations and in-flight tasks in one
+//! crate-private roster, so they kill, revive, join and drop orphaned
+//! results by the same rule, and give the *same semantics*: a task
+//! conceptually begins executing against the state captured at submission
+//! (exactly like a Spark task shipping with its broadcast snapshot) and its
+//! result arrives after the modelled/real duration. Asynchronous
+//! algorithms built on top observe stale results precisely as they would
+//! on a real cluster.
 
 use std::any::Any;
 
@@ -153,7 +157,7 @@ pub trait Engine: Send {
     fn workers(&self) -> usize;
 
     /// Current engine time (virtual for the simulator, real-elapsed for
-    /// the threaded backend).
+    /// the threaded and remote backends).
     fn now(&self) -> VTime;
 
     /// True when `w` is alive and idle.
@@ -205,10 +209,9 @@ pub trait Engine: Send {
     /// when the notification pops.
     fn add_worker(&mut self) -> WorkerId;
 
-    /// Schedules a failure at a future instant (deterministic engines only;
-    /// the default is a no-op so threaded tests call
-    /// [`Engine::kill_worker`] — the threaded backend overrides it with
-    /// elapsed-time checks).
+    /// Schedules a failure at a future instant. The simulator fires it at
+    /// the exact virtual instant; the threaded and remote backends apply
+    /// it once that much real time has elapsed. The default is a no-op.
     fn schedule_failure(&mut self, _w: WorkerId, _at: VTime) {}
 
     /// Schedules a revival of `w` at a future instant (see
@@ -220,7 +223,7 @@ pub trait Engine: Send {
     /// id surfaces via [`Completion::WorkerUp`]. Backends may allocate the
     /// id eagerly (the simulator grows `workers()` at scheduling time,
     /// keeping the worker dead until its instant) or lazily at fire time
-    /// (the threaded backend).
+    /// (the threaded and remote backends).
     fn schedule_join(&mut self, _at: VTime) {}
 
     /// The instant of the earliest still-scheduled membership event

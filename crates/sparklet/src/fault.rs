@@ -9,11 +9,11 @@
 //! interleaving: determinism lives in the *sequence of frames an endpoint
 //! writes*, not in wall-clock time.
 //!
-//! The plan composes with [`crate::driver::Driver::install_chaos`]-style
-//! scripted membership chaos, but its point is the opposite contract:
-//! faults strike *unscripted*, and the supervision layer (heartbeats,
-//! task deadlines, retries, auto-respawn) has to notice and recover
-//! without being told when. `hang_worker` models the nastiest case — a
+//! The plan composes with scripted membership chaos (installed through
+//! [`crate::driver::Driver::install_chaos`]), but its point is the
+//! opposite contract: faults strike *unscripted*, and the supervision
+//! layer (heartbeats, task deadlines, retries, auto-respawn) has to notice
+//! and recover without being told when. `hang_worker` models the nastiest case — a
 //! worker that keeps computing but whose outbound frames (completions
 //! *and* heartbeats) all vanish, indistinguishable from a network
 //! partition; only a liveness deadline can catch it.

@@ -32,6 +32,7 @@
 
 pub mod broadcast;
 pub mod builder;
+mod chaos_timer;
 pub mod driver;
 pub mod engine;
 pub mod fault;
@@ -39,6 +40,7 @@ pub mod frame;
 pub mod payload;
 pub mod rdd;
 pub mod remote;
+mod roster;
 pub mod sim;
 pub mod threaded;
 pub mod worker;

@@ -68,7 +68,7 @@
 //!
 //! [`Payload`]: crate::payload::Payload
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -82,19 +82,18 @@ use bytes::BytesMut;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use async_cluster::straggler::DelayAssignment;
-use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
+use async_cluster::{ChaosAction, ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
+use crate::chaos_timer::{self, ChaosTimer};
 use crate::engine::{Completion, Engine, EngineError, Task, TaskDone, TaskOutput, WireTask};
 use crate::fault::{FaultAction, FaultDir, FaultInjector, FaultPlan};
 use crate::frame::{encode_frame, read_frame, write_frame, Msg};
 use crate::payload::DecodeError;
+use crate::roster::Roster;
 use crate::worker::WorkerCtx;
 
 /// Default for [`RemoteConfig::handshake_timeout`].
 const DEFAULT_HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Default for [`RemoteConfig::poll_interval`].
-const DEFAULT_POLL_INTERVAL: Duration = Duration::from_micros(500);
 
 /// How a [`RemoteEngine`] starts worker incarnations.
 pub enum WorkerLauncher {
@@ -129,12 +128,6 @@ pub struct RemoteConfig {
     /// How long to wait for a freshly spawned worker process to connect
     /// and greet before declaring the spawn failed (default 10 s).
     pub handshake_timeout: Duration,
-    /// Upper bound on how long the result pump blocks per wait *while a
-    /// timer is armed* (scheduled chaos, liveness, or task deadlines).
-    /// The pump waits exactly until the earliest deadline, capped by this
-    /// (default 500 µs, the historical poll cadence); with no timers armed
-    /// it parks on a blocking receive and burns no cycles.
-    pub poll_interval: Duration,
     /// Worker heartbeat period. `None` (default) disables heartbeats.
     pub heartbeat: Option<Duration>,
     /// Liveness deadline: a worker whose frames (beats or completions)
@@ -159,7 +152,6 @@ impl RemoteConfig {
             addr: "127.0.0.1:0".to_string(),
             launcher,
             handshake_timeout: DEFAULT_HANDSHAKE_TIMEOUT,
-            poll_interval: DEFAULT_POLL_INTERVAL,
             heartbeat: None,
             liveness: None,
             task_deadline: None,
@@ -231,19 +223,11 @@ enum WireEvent {
 /// One in-flight wired task: response decoding + accounting plus the
 /// issue instants the deadline check and the completion report need.
 struct InflightEntry {
-    tag: u64,
     #[allow(clippy::type_complexity)]
     decode: Box<dyn Fn(&[u8]) -> Result<TaskOutput, DecodeError> + Send>,
     bytes_in: u64,
     issued_at: VTime,
     issued_real: Instant,
-}
-
-/// A membership change scheduled against elapsed engine time.
-enum PendingChaos {
-    Fail(WorkerId),
-    Revive(WorkerId),
-    Join,
 }
 
 /// The remote multi-process engine. See the module docs.
@@ -252,16 +236,13 @@ pub struct RemoteEngine {
     assignment: Arc<DelayAssignment>,
     comm: CommModel,
     time_scale: f64,
-    start: Instant,
     listener: TcpListener,
     local_addr: String,
     launcher: WorkerLauncher,
     handshake_timeout: Duration,
-    poll_interval: Duration,
     heartbeat: Option<Duration>,
     liveness: Option<Duration>,
     task_deadline: Option<Duration>,
-    max_inflight: usize,
     fault: FaultPlan,
     conns: Vec<Option<WorkerConn>>,
     readers: Vec<Option<std::thread::JoinHandle<()>>>,
@@ -271,23 +252,17 @@ pub struct RemoteEngine {
     /// `(broadcast, version)` keys (and shipped partitions) it holds.
     /// Reset to empty on revive/join, exactly like the real cache.
     mirrors: Vec<WorkerCtx>,
-    dead: Vec<bool>,
-    /// Worker incarnation counters; bumped on kill so orphaned completions
-    /// and a revived executor can never be confused.
-    epoch: Vec<u64>,
-    /// Per-worker FIFO of in-flight submissions (bounded by
-    /// `max_inflight`).
-    inflight: Vec<VecDeque<InflightEntry>>,
+    /// Liveness, incarnations and each worker's FIFO of in-flight
+    /// submissions (bounded by `max_inflight`).
+    roster: Roster<InflightEntry>,
     /// Last instant each worker proved it was alive (handshake, beat, or
     /// completion).
     last_beat: Vec<Instant>,
     /// Driver→worker fault injectors, one per live incarnation when the
     /// plan is non-zero.
     injectors: Vec<Option<FaultInjector>>,
-    task_seq: Vec<u64>,
-    pending: usize,
-    queued: VecDeque<Completion>,
-    chaos: VecDeque<(VTime, PendingChaos)>,
+    /// Engine clock and scheduled membership events.
+    chaos: ChaosTimer,
 }
 
 impl RemoteEngine {
@@ -317,37 +292,28 @@ impl RemoteEngine {
             .map_err(|e| EngineError::Io(e.kind()))?
             .to_string();
         let (res_tx, res_rx) = unbounded::<WireEvent>();
-        let now = Instant::now();
         let mut engine = Self {
             spec,
             assignment,
             comm,
             time_scale,
-            start: now,
             listener,
             local_addr,
             launcher: cfg.launcher,
             handshake_timeout: cfg.handshake_timeout,
-            poll_interval: cfg.poll_interval.max(Duration::from_micros(1)),
             heartbeat: cfg.heartbeat,
             liveness: cfg.liveness,
             task_deadline: cfg.task_deadline,
-            max_inflight: cfg.max_inflight,
             fault: cfg.fault,
             conns: Vec::with_capacity(n),
             readers: Vec::with_capacity(n),
             results_tx: res_tx,
             results_rx: res_rx,
             mirrors: (0..n).map(WorkerCtx::new).collect(),
-            dead: vec![false; n],
-            epoch: vec![0; n],
-            inflight: (0..n).map(|_| VecDeque::new()).collect(),
-            last_beat: vec![now; n],
+            roster: Roster::new(n, cfg.max_inflight),
+            last_beat: vec![Instant::now(); n],
             injectors: (0..n).map(|_| None).collect(),
-            task_seq: vec![0; n],
-            pending: 0,
-            queued: VecDeque::new(),
-            chaos: VecDeque::new(),
+            chaos: ChaosTimer::new(),
         };
         for w in 0..n {
             engine.conns.push(None);
@@ -364,10 +330,10 @@ impl RemoteEngine {
         &self.local_addr
     }
 
-    /// Launches incarnation `self.epoch[w]` of worker `w` and completes
-    /// the connection handshake.
+    /// Launches the current incarnation of worker `w` and completes the
+    /// connection handshake.
     fn spawn_worker(&mut self, w: WorkerId) -> io::Result<()> {
-        let epoch = self.epoch[w];
+        let epoch = self.roster.epoch(w);
         let opts = WorkerOpts {
             heartbeat: self.heartbeat,
             fault: self.fault.clone(),
@@ -484,10 +450,6 @@ impl RemoteEngine {
         }
     }
 
-    fn elapsed(&self) -> VTime {
-        VTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
     /// Tears down worker `w`'s current incarnation: socket shutdown, child
     /// kill + reap. The reader thread exits on the dropped connection and
     /// its `Gone` event is epoch-filtered.
@@ -502,48 +464,27 @@ impl RemoteEngine {
         }
     }
 
-    /// Marks `w` dead at a bumped epoch and queues the loss
-    /// notifications — shared by explicit kills, detected disconnects,
-    /// and missed liveness/task deadlines. Every queued in-flight task
-    /// surfaces as its own [`Completion::Lost`] (FIFO order); an idle
-    /// death queues [`Completion::WorkerDown`].
-    fn mark_dead(&mut self, w: WorkerId) {
-        self.dead[w] = true;
-        self.epoch[w] += 1;
+    /// Tears down `w`'s connection and retires its incarnation in the
+    /// roster, which queues the loss notifications — shared by explicit
+    /// kills, detected disconnects, and missed liveness/task deadlines.
+    /// Every in-flight task surfaces as its own [`Completion::Lost`] (FIFO
+    /// order); an idle death queues [`Completion::WorkerDown`].
+    fn retire(&mut self, w: WorkerId) {
+        self.teardown_conn(w);
         self.injectors[w] = None;
-        let lost: Vec<u64> = self.inflight[w].drain(..).map(|e| e.tag).collect();
-        if lost.is_empty() {
-            self.queued.push_back(Completion::WorkerDown { worker: w });
-        } else {
-            self.pending -= lost.len();
-            for tag in lost {
-                self.queued.push_back(Completion::Lost { worker: w, tag });
-            }
-        }
+        self.roster.kill(w);
     }
 
     /// Applies scheduled membership events whose instant has passed.
-    fn apply_due_chaos(&mut self) {
-        while let Some(&(at, _)) = self.chaos.front() {
-            if at > self.elapsed() {
-                break;
-            }
-            let (_, ev) = self.chaos.pop_front().expect("checked front");
-            match ev {
-                PendingChaos::Fail(w) => self.kill_worker(w),
-                PendingChaos::Revive(w) => {
-                    let _ = self.revive_worker(w); // no-op if already alive
-                }
-                PendingChaos::Join => {
-                    self.add_worker();
-                }
-            }
+    fn apply_due(&mut self) {
+        while let Some(action) = self.chaos.pop_due() {
+            chaos_timer::apply(self, action);
         }
     }
 
     /// Declares workers dead for missed liveness or task deadlines. Runs
-    /// alongside `apply_due_chaos` in every pump iteration; both checks
-    /// are no-ops unless configured.
+    /// alongside `apply_due` in every pump iteration; both checks are
+    /// no-ops unless configured.
     fn enforce_deadlines(&mut self) {
         if self.liveness.is_none() && self.task_deadline.is_none() {
             return;
@@ -551,15 +492,15 @@ impl RemoteEngine {
         let now = Instant::now();
         let mut victims: Vec<WorkerId> = Vec::new();
         for w in 0..self.spec.workers {
-            if self.dead[w] {
+            if !self.roster.alive(w) {
                 continue;
             }
             let silent = self
                 .liveness
                 .is_some_and(|liv| now.duration_since(self.last_beat[w]) > liv);
             let overdue = self.task_deadline.is_some_and(|dl| {
-                self.inflight[w]
-                    .front()
+                self.roster
+                    .oldest(w)
                     .is_some_and(|e| now.duration_since(e.issued_real) > dl)
             });
             if silent || overdue {
@@ -567,67 +508,28 @@ impl RemoteEngine {
             }
         }
         for w in victims {
-            self.teardown_conn(w);
-            self.mark_dead(w);
+            self.retire(w);
         }
     }
 
-    /// Time until the earliest armed timer (scheduled chaos, liveness
-    /// deadline, task deadline), or `None` when no timer is armed and the
-    /// pump can park indefinitely.
-    fn wait_horizon(&self) -> Option<Duration> {
-        let mut horizon: Option<Duration> = None;
-        let mut fold = |d: Duration| {
-            horizon = Some(match horizon {
-                Some(h) => h.min(d),
-                None => d,
-            });
-        };
-        if let Some(&(at, _)) = self.chaos.front() {
-            let left = at.saturating_since(self.elapsed());
-            fold(Duration::from_micros(left.as_micros()));
+    /// Time until the earliest armed supervision deadline (liveness or
+    /// task), or `None` when neither is armed.
+    fn deadline_horizon(&self) -> Option<Duration> {
+        let mut earliest: Option<Instant> = None;
+        for w in (0..self.spec.workers).filter(|&w| self.roster.alive(w)) {
+            let silent = self.liveness.map(|liv| self.last_beat[w] + liv);
+            let overdue = self.roster.oldest(w).zip(self.task_deadline);
+            let overdue = overdue.map(|(e, dl)| e.issued_real + dl);
+            earliest = [earliest, silent, overdue].into_iter().flatten().min();
         }
-        let now = Instant::now();
-        if let Some(liv) = self.liveness {
-            for w in 0..self.spec.workers {
-                if !self.dead[w] {
-                    fold((self.last_beat[w] + liv).saturating_duration_since(now));
-                }
-            }
-        }
-        if let Some(dl) = self.task_deadline {
-            for w in 0..self.spec.workers {
-                if self.dead[w] {
-                    continue;
-                }
-                if let Some(e) = self.inflight[w].front() {
-                    fold((e.issued_real + dl).saturating_duration_since(now));
-                }
-            }
-        }
-        horizon
+        earliest.map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     /// One deadline-aware wait on the result channel: parks indefinitely
-    /// when no timer is armed, otherwise until the earliest deadline
-    /// (capped by `poll_interval`, the historical cadence).
+    /// when no chaos event or deadline is armed, otherwise until the
+    /// earliest one.
     fn wait_event(&self) -> Result<WireEvent, RecvTimeoutError> {
-        match self.wait_horizon() {
-            None => self
-                .results_rx
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(d) => self.results_rx.recv_timeout(d.min(self.poll_interval)),
-        }
-    }
-
-    /// Inserts a scheduled event keeping the list time-sorted (stable).
-    fn push_chaos(&mut self, at: VTime, ev: PendingChaos) {
-        let pos = self.chaos.iter().position(|&(t, _)| t > at);
-        match pos {
-            Some(i) => self.chaos.insert(i, (at, ev)),
-            None => self.chaos.push_back((at, ev)),
-        }
+        self.chaos.recv(&self.results_rx, self.deadline_horizon())
     }
 
     fn accept(&mut self, ev: WireEvent) -> Option<Completion> {
@@ -638,7 +540,7 @@ impl RemoteEngine {
                 tag,
                 response,
             } => {
-                if self.dead[worker] || epoch != self.epoch[worker] {
+                if !self.roster.is_current(worker, epoch) {
                     // Orphaned result flushed by a killed incarnation
                     // before its socket died: its loss was already
                     // reported.
@@ -646,58 +548,56 @@ impl RemoteEngine {
                 }
                 // Any frame proves liveness.
                 self.last_beat[worker] = Instant::now();
-                let finished_at = self.elapsed();
-                let pos = self.inflight[worker].iter().position(|e| e.tag == tag);
-                let Some(pos) = pos else {
-                    // An unsolicited completion — a duplicated frame or a
-                    // protocol violation. Nothing is owed for it; drop it.
-                    return None;
-                };
-                let entry = self.inflight[worker].remove(pos).expect("position exists");
+                let finished_at = self.chaos.elapsed();
+                // An unsolicited completion — a duplicated frame or a
+                // protocol violation — is owed nothing: drop it.
+                let entry = self.roster.take(worker, epoch, tag)?;
                 match (entry.decode)(&response) {
-                    Ok(output) => {
-                        self.pending -= 1;
-                        Some(Completion::Done(TaskDone {
-                            worker,
-                            tag,
-                            output,
-                            issued_at: entry.issued_at,
-                            finished_at,
-                            service_time: finished_at.saturating_since(entry.issued_at),
-                            bytes_in: entry.bytes_in,
-                        }))
-                    }
+                    Ok(output) => Some(Completion::Done(TaskDone {
+                        worker,
+                        tag,
+                        output,
+                        issued_at: entry.issued_at,
+                        finished_at,
+                        service_time: finished_at.saturating_since(entry.issued_at),
+                        bytes_in: entry.bytes_in,
+                    })),
                     Err(_) => {
                         // A response this driver cannot decode means the
                         // incarnation is not speaking the protocol — treat
-                        // it like a crashed worker: tear down, report every
-                        // queued task lost. The entry was already removed;
-                        // account its loss here, the rest via `mark_dead`.
-                        self.pending -= 1;
-                        self.queued.push_back(Completion::Lost { worker, tag });
-                        self.teardown_conn(worker);
-                        self.mark_dead(worker);
+                        // it like a crashed worker: this task is lost, and
+                        // so is everything else it had queued.
+                        self.roster.queue(Completion::Lost { worker, tag });
+                        self.retire(worker);
                         None
                     }
                 }
             }
             WireEvent::Beat { worker, epoch } => {
-                if !self.dead[worker] && epoch == self.epoch[worker] {
+                if self.roster.is_current(worker, epoch) {
                     self.last_beat[worker] = Instant::now();
                 }
                 None
             }
             WireEvent::Gone { worker, epoch } => {
-                if self.dead[worker] || epoch != self.epoch[worker] {
-                    return None; // expected: we tore this connection down
-                }
                 // A real, uncommanded connection drop: dropped socket →
-                // lost tasks, dead worker (revivable like any other death).
-                self.teardown_conn(worker);
-                self.mark_dead(worker);
+                // lost tasks, dead worker (revivable like any other
+                // death). A stale incarnation's drop is the teardown we
+                // did ourselves.
+                if self.roster.is_current(worker, epoch) {
+                    self.retire(worker);
+                }
                 None
             }
         }
+    }
+
+    /// The non-blocking half of every pump iteration: drain arrived
+    /// events, fire due chaos, enforce supervision deadlines.
+    fn pump(&mut self) {
+        self.drain_ready_events();
+        self.apply_due();
+        self.enforce_deadlines();
     }
 
     /// Drains every event already sitting in the result channel into the
@@ -708,7 +608,7 @@ impl RemoteEngine {
     fn drain_ready_events(&mut self) {
         while let Ok(ev) = self.results_rx.try_recv() {
             if let Some(c) = self.accept(ev) {
-                self.queued.push_back(c);
+                self.roster.queue(c);
             }
         }
     }
@@ -725,19 +625,14 @@ impl RemoteEngine {
         wire: WireTask,
     ) -> Result<(), EngineError> {
         loop {
-            self.drain_ready_events();
-            self.apply_due_chaos();
-            self.enforce_deadlines();
-            if self.dead[w] {
-                return Err(EngineError::WorkerDead(w));
-            }
-            if self.inflight[w].len() < self.max_inflight {
+            self.pump();
+            if self.roster.available(w) || !self.roster.alive(w) {
                 return self.submit_wired(w, task, wire);
             }
             match self.wait_event() {
                 Ok(ev) => {
                     if let Some(c) = self.accept(ev) {
-                        self.queued.push_back(c);
+                        self.roster.queue(c);
                     }
                 }
                 Err(RecvTimeoutError::Timeout) => continue,
@@ -837,15 +732,15 @@ impl Engine for RemoteEngine {
     }
 
     fn now(&self) -> VTime {
-        self.elapsed()
+        self.chaos.elapsed()
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && self.inflight[w].len() < self.max_inflight
+        self.roster.available(w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
-        !self.dead[w]
+        self.roster.alive(w)
     }
 
     /// Closure-only submissions cannot cross a process boundary; the
@@ -855,14 +750,7 @@ impl Engine for RemoteEngine {
     }
 
     fn submit_wired(&mut self, w: WorkerId, task: Task, wire: WireTask) -> Result<(), EngineError> {
-        if self.dead[w] {
-            return Err(EngineError::WorkerDead(w));
-        }
-        if self.inflight[w].len() >= self.max_inflight {
-            return Err(EngineError::WorkerBusy(w));
-        }
-        let seq = self.task_seq[w];
-        self.task_seq[w] += 1;
+        let seq = self.roster.admit(w)?;
         // Build the request against the worker's mirrored cache — the
         // remote analogue of the simulator running the closure at
         // submission. Fetch charges (snapshots, patches, shipped blocks)
@@ -877,7 +765,7 @@ impl Engine for RemoteEngine {
         let sleep_us = (modelled.as_micros() as f64 * self.time_scale * factor) as u64;
         let msg = Msg::Submit {
             tag: task.tag,
-            epoch: self.epoch[w],
+            epoch: self.roster.epoch(w),
             routine: wire.routine,
             sleep_us,
             slow_factor: (factor - 1.0).max(0.0),
@@ -894,32 +782,27 @@ impl Engine for RemoteEngine {
             // The process died under us between completions (or fault
             // injection reset the connection): surface the death now. The
             // task was never accepted, so it is not among the losses
-            // `mark_dead` queues for previously accepted submissions.
-            self.teardown_conn(w);
-            self.mark_dead(w);
+            // `retire` queues for previously accepted submissions.
+            self.retire(w);
             return Err(EngineError::Disconnected(w));
         }
-        let issued_at = self.elapsed();
-        self.inflight[w].push_back(InflightEntry {
-            tag: task.tag,
+        let entry = InflightEntry {
             decode: wire.decode,
             bytes_in: total_bytes,
-            issued_at,
+            issued_at: self.chaos.elapsed(),
             issued_real: Instant::now(),
-        });
-        self.pending += 1;
+        };
+        self.roster.launch(w, task.tag, entry);
         Ok(())
     }
 
     fn next(&mut self) -> Option<Completion> {
         loop {
-            self.drain_ready_events();
-            self.apply_due_chaos();
-            self.enforce_deadlines();
-            if let Some(c) = self.queued.pop_front() {
+            self.pump();
+            if let Some(c) = self.roster.pop_queued() {
                 return Some(c);
             }
-            if self.pending == 0 {
+            if self.roster.pending() == 0 {
                 // Nothing in flight: return rather than block real time
                 // until a *future* scheduled membership event (same
                 // divergence from the simulator as the threaded backend —
@@ -939,26 +822,22 @@ impl Engine for RemoteEngine {
     }
 
     fn try_next(&mut self) -> Option<Completion> {
-        self.drain_ready_events();
-        self.apply_due_chaos();
-        self.enforce_deadlines();
-        self.queued.pop_front()
+        self.pump();
+        self.roster.pop_queued()
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        self.roster.pending()
     }
 
     fn kill_worker(&mut self, w: WorkerId) {
-        if self.dead[w] {
-            return;
+        if self.roster.alive(w) {
+            self.retire(w);
         }
-        self.teardown_conn(w);
-        self.mark_dead(w);
     }
 
     fn revive_worker(&mut self, w: WorkerId) -> Result<(), EngineError> {
-        if !self.dead[w] {
+        if self.roster.alive(w) {
             return Err(EngineError::WorkerAlive(w));
         }
         // A fresh incarnation: new process, new connection, and an empty
@@ -966,52 +845,48 @@ impl Engine for RemoteEngine {
         self.mirrors[w] = WorkerCtx::new(w);
         self.spawn_worker(w)
             .map_err(|e| EngineError::Io(e.kind()))?;
-        self.dead[w] = false;
-        self.inflight[w].clear();
-        self.queued.push_back(Completion::WorkerUp { worker: w });
+        self.roster.revive(w);
         Ok(())
     }
 
     fn add_worker(&mut self) -> WorkerId {
-        let w = self.spec.workers;
+        let w = self.roster.grow();
         self.spec.workers += 1;
         self.spec.profiles.push(WorkerProfile::default_speed());
         self.mirrors.push(WorkerCtx::new(w));
-        self.dead.push(false);
-        self.epoch.push(0);
-        self.inflight.push(VecDeque::new());
         self.last_beat.push(Instant::now());
         self.injectors.push(None);
-        self.task_seq.push(0);
         self.conns.push(None);
         self.readers.push(None);
-        if let Err(e) = self.spawn_worker(w) {
-            // The join happened (ids are dense and allocated), but the
-            // worker is unusable: record it dead so the engine stays
-            // consistent. Chaos-driven joins tolerate this.
-            eprintln!("remote engine: failed to spawn joined worker {w}: {e}");
-            self.dead[w] = true;
-            self.queued.push_back(Completion::WorkerDown { worker: w });
-            return w;
+        match self.spawn_worker(w) {
+            Ok(()) => {
+                self.roster.revive(w);
+            }
+            Err(e) => {
+                // The join happened (ids are dense and allocated), but the
+                // worker is unusable: it stays dead so the engine stays
+                // consistent. Chaos-driven joins tolerate this.
+                eprintln!("remote engine: failed to spawn joined worker {w}: {e}");
+                self.roster.queue(Completion::WorkerDown { worker: w });
+            }
         }
-        self.queued.push_back(Completion::WorkerUp { worker: w });
         w
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Fail(w));
+        self.chaos.push(at, ChaosAction::Kill(w));
     }
 
     fn schedule_revival(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Revive(w));
+        self.chaos.push(at, ChaosAction::Revive(w));
     }
 
     fn schedule_join(&mut self, at: VTime) {
-        self.push_chaos(at, PendingChaos::Join);
+        self.chaos.push(at, ChaosAction::Join);
     }
 
     fn next_event_at(&self) -> Option<VTime> {
-        self.chaos.front().map(|&(at, _)| at)
+        self.chaos.next_at()
     }
 }
 

@@ -15,7 +15,6 @@
 //! delay means the worker executes jobs at half speed" holds for real work
 //! too.
 
-use std::collections::VecDeque;
 use std::sync::mpsc::RecvTimeoutError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,9 +22,11 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use async_cluster::straggler::DelayAssignment;
-use async_cluster::{ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
+use async_cluster::{ChaosAction, ClusterSpec, CommModel, VTime, WorkerId, WorkerProfile};
 
+use crate::chaos_timer::{self, ChaosTimer};
 use crate::engine::{Completion, Engine, EngineError, Task, TaskDone, TaskFn, TaskOutput};
+use crate::roster::Roster;
 use crate::worker::WorkerCtx;
 
 enum Msg {
@@ -41,20 +42,12 @@ enum Msg {
 
 struct WireDone {
     worker: WorkerId,
-    /// The worker incarnation that produced this result; results from a
-    /// pre-failure life are dropped (the epoch guard that makes revival
-    /// safe — a revived executor can never surface a stale-epoch result).
+    /// The worker incarnation that produced this result; the roster drops
+    /// results from a pre-failure life.
     epoch: u64,
     tag: u64,
     output: TaskOutput,
     bytes_in: u64,
-}
-
-/// A membership change scheduled against elapsed engine time.
-enum PendingChaos {
-    Fail(WorkerId),
-    Revive(WorkerId),
-    Join,
 }
 
 /// The threaded engine. See the module docs.
@@ -66,25 +59,14 @@ pub struct ThreadedEngine {
     /// Shared communication model, likewise cloned by pointer per spawn.
     comm: Arc<CommModel>,
     time_scale: f64,
-    start: Instant,
     txs: Vec<Sender<Msg>>,
     handles: Vec<Option<std::thread::JoinHandle<()>>>,
     results_tx: Sender<WireDone>,
     results_rx: Receiver<WireDone>,
-    busy: Vec<bool>,
-    dead: Vec<bool>,
-    /// Worker incarnation counters; bumped on kill so orphaned results and
-    /// a revived executor can never be confused.
-    epoch: Vec<u64>,
-    inflight_tag: Vec<Option<u64>>,
-    issued_at: Vec<VTime>,
-    task_seq: Vec<u64>,
-    pending: usize,
-    /// Failure/revival notifications waiting to be handed out by `next`.
-    queued: VecDeque<Completion>,
-    /// Scheduled membership events, sorted by time; applied when elapsed
-    /// real time passes them (checked at submit/next/try_next boundaries).
-    chaos: VecDeque<(VTime, PendingChaos)>,
+    /// Liveness, incarnations and in-flight tasks (entry: issue instant).
+    roster: Roster<VTime>,
+    /// Engine clock and scheduled membership events.
+    chaos: ChaosTimer,
 }
 
 impl ThreadedEngine {
@@ -106,20 +88,12 @@ impl ThreadedEngine {
             assignment,
             comm,
             time_scale,
-            start: Instant::now(),
             txs: Vec::with_capacity(n),
             handles: Vec::with_capacity(n),
             results_tx: res_tx,
             results_rx: res_rx,
-            busy: vec![false; n],
-            dead: vec![false; n],
-            epoch: vec![0; n],
-            inflight_tag: vec![None; n],
-            issued_at: vec![VTime::ZERO; n],
-            task_seq: vec![0; n],
-            pending: 0,
-            queued: VecDeque::new(),
-            chaos: VecDeque::new(),
+            roster: Roster::new(n, 1),
+            chaos: ChaosTimer::new(),
         };
         for w in 0..n {
             let tx = engine.spawn_worker(w);
@@ -142,7 +116,7 @@ impl ThreadedEngine {
         let comm = Arc::clone(&self.comm);
         let assignment = Arc::clone(&self.assignment);
         let time_scale = self.time_scale;
-        let epoch = self.epoch[w];
+        let epoch = self.roster.epoch(w);
         let handle = std::thread::Builder::new()
             .name(format!("sparklet-worker-{w}-e{epoch}"))
             .spawn(move || worker_loop(w, epoch, rx, res_tx, profile, comm, assignment, time_scale))
@@ -159,50 +133,18 @@ impl ThreadedEngine {
         tx
     }
 
-    /// Applies scheduled membership events whose instant has passed,
-    /// pushing their notifications onto the queued completions.
-    fn apply_due_chaos(&mut self) {
-        while let Some(&(at, _)) = self.chaos.front() {
-            if at > self.elapsed() {
-                break;
-            }
-            let (_, ev) = self.chaos.pop_front().expect("checked front");
-            match ev {
-                PendingChaos::Fail(w) => self.kill_worker(w),
-                PendingChaos::Revive(w) => {
-                    let _ = self.revive_worker(w); // no-op if already alive
-                }
-                PendingChaos::Join => {
-                    self.add_worker();
-                }
-            }
+    /// Applies scheduled membership events whose instant has passed.
+    fn apply_due(&mut self) {
+        while let Some(action) = self.chaos.pop_due() {
+            chaos_timer::apply(self, action);
         }
-    }
-
-    /// Inserts a scheduled event keeping the list time-sorted (stable).
-    fn push_chaos(&mut self, at: VTime, ev: PendingChaos) {
-        let pos = self.chaos.iter().position(|&(t, _)| t > at);
-        match pos {
-            Some(i) => self.chaos.insert(i, (at, ev)),
-            None => self.chaos.push_back((at, ev)),
-        }
-    }
-
-    fn elapsed(&self) -> VTime {
-        VTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 
     fn accept(&mut self, d: WireDone) -> Option<Completion> {
-        if self.dead[d.worker] || d.epoch != self.epoch[d.worker] {
-            // Orphaned result from a killed (possibly since-revived)
-            // incarnation: its loss was already reported.
-            return None;
-        }
-        let finished_at = self.elapsed();
-        self.busy[d.worker] = false;
-        self.inflight_tag[d.worker] = None;
-        self.pending -= 1;
-        let issued_at = self.issued_at[d.worker];
+        // Orphaned results of a killed incarnation were already reported
+        // lost; the roster drops them.
+        let issued_at = self.roster.take(d.worker, d.epoch, d.tag)?;
+        let finished_at = self.chaos.elapsed();
         Some(Completion::Done(TaskDone {
             worker: d.worker,
             tag: d.tag,
@@ -276,30 +218,20 @@ impl Engine for ThreadedEngine {
     }
 
     fn now(&self) -> VTime {
-        self.elapsed()
+        self.chaos.elapsed()
     }
 
     fn available(&self, w: WorkerId) -> bool {
-        !self.dead[w] && !self.busy[w]
+        self.roster.available(w)
     }
 
     fn alive(&self, w: WorkerId) -> bool {
-        !self.dead[w]
+        self.roster.alive(w)
     }
 
     fn submit(&mut self, w: WorkerId, task: Task) -> Result<(), EngineError> {
-        if self.dead[w] {
-            return Err(EngineError::WorkerDead(w));
-        }
-        if self.busy[w] {
-            return Err(EngineError::WorkerBusy(w));
-        }
-        let seq = self.task_seq[w];
-        self.task_seq[w] += 1;
-        self.busy[w] = true;
-        self.inflight_tag[w] = Some(task.tag);
-        self.issued_at[w] = self.elapsed();
-        self.pending += 1;
+        let seq = self.roster.admit(w)?;
+        self.roster.launch(w, task.tag, self.chaos.elapsed());
         self.txs[w]
             .send(Msg::Run {
                 tag: task.tag,
@@ -314,24 +246,23 @@ impl Engine for ThreadedEngine {
 
     fn next(&mut self) -> Option<Completion> {
         loop {
-            self.apply_due_chaos();
-            if let Some(c) = self.queued.pop_front() {
+            self.apply_due();
+            if let Some(c) = self.roster.pop_queued() {
                 return Some(c);
             }
-            if self.pending == 0 {
+            if self.roster.pending() == 0 {
                 // Nothing in flight: return rather than block real time
                 // until a *future* scheduled membership event (a drain at
                 // run end must not stall through the chaos horizon). Due
                 // events were already applied above; remaining ones apply
-                // at later submit/next/try_next calls once their instant
-                // passes. This is the one place the threaded backend
-                // diverges from the simulator, which jumps its virtual
-                // clock to such events for free.
+                // at later next/try_next calls once their instant passes.
+                // This is the one place the wall-clock backends diverge
+                // from the simulator, which jumps its virtual clock to
+                // such events for free.
                 return None;
             }
-            // Bounded wait so due membership events apply even while a
-            // straggler's result is pending.
-            match self.results_rx.recv_timeout(Duration::from_micros(500)) {
+            // Parks until a result arrives or the next chaos event is due.
+            match self.chaos.recv(&self.results_rx, None) {
                 Ok(d) => {
                     if let Some(c) = self.accept(d) {
                         return Some(c);
@@ -345,95 +276,70 @@ impl Engine for ThreadedEngine {
 
     fn try_next(&mut self) -> Option<Completion> {
         loop {
-            self.apply_due_chaos();
-            if let Some(c) = self.queued.pop_front() {
+            self.apply_due();
+            if let Some(c) = self.roster.pop_queued() {
                 return Some(c);
             }
-            match self.results_rx.try_recv() {
-                Ok(d) => {
-                    if let Some(c) = self.accept(d) {
-                        return Some(c);
-                    }
-                }
-                Err(_) => return None,
+            let d = self.results_rx.try_recv().ok()?;
+            if let Some(c) = self.accept(d) {
+                return Some(c);
             }
         }
     }
 
     fn pending(&self) -> usize {
-        self.pending
+        self.roster.pending()
     }
 
     fn kill_worker(&mut self, w: WorkerId) {
-        if self.dead[w] {
-            return;
-        }
-        self.dead[w] = true;
-        // Bump the incarnation: any result the dying thread still delivers
-        // fails the epoch check in `accept`, even after a later revival.
-        self.epoch[w] += 1;
-        let _ = self.txs[w].send(Msg::Stop);
-        if self.busy[w] {
-            self.busy[w] = false;
-            self.pending -= 1;
-            let tag = self.inflight_tag[w].take().expect("busy worker has a tag");
-            self.queued.push_back(Completion::Lost { worker: w, tag });
-        } else {
-            self.queued.push_back(Completion::WorkerDown { worker: w });
+        // Retiring the epoch makes any result the dying thread still
+        // delivers an orphan, even after a later revival.
+        if self.roster.kill(w) {
+            let _ = self.txs[w].send(Msg::Stop);
         }
     }
 
     fn revive_worker(&mut self, w: WorkerId) -> Result<(), EngineError> {
-        if !self.dead[w] {
+        if self.roster.alive(w) {
             return Err(EngineError::WorkerAlive(w));
         }
-        self.dead[w] = false;
-        self.busy[w] = false;
-        self.inflight_tag[w] = None;
         // A fresh incarnation: new thread, empty worker cache.
-        let tx = self.spawn_worker(w);
-        self.txs[w] = tx;
-        self.queued.push_back(Completion::WorkerUp { worker: w });
+        self.txs[w] = self.spawn_worker(w);
+        self.roster.revive(w);
         Ok(())
     }
 
     fn add_worker(&mut self) -> WorkerId {
-        let w = self.spec.workers;
+        let w = self.roster.grow();
         self.spec.workers += 1;
         self.spec.profiles.push(WorkerProfile::default_speed());
-        self.busy.push(false);
-        self.dead.push(false);
-        self.epoch.push(0);
-        self.inflight_tag.push(None);
-        self.issued_at.push(VTime::ZERO);
-        self.task_seq.push(0);
         let tx = self.spawn_worker(w);
         self.txs.push(tx);
-        self.queued.push_back(Completion::WorkerUp { worker: w });
+        self.roster.revive(w);
         w
     }
 
     fn schedule_failure(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Fail(w));
+        self.chaos.push(at, ChaosAction::Kill(w));
     }
 
     fn schedule_revival(&mut self, w: WorkerId, at: VTime) {
-        self.push_chaos(at, PendingChaos::Revive(w));
+        self.chaos.push(at, ChaosAction::Revive(w));
     }
 
     fn schedule_join(&mut self, at: VTime) {
-        self.push_chaos(at, PendingChaos::Join);
+        self.chaos.push(at, ChaosAction::Join);
     }
 
     fn next_event_at(&self) -> Option<VTime> {
-        self.chaos.front().map(|&(at, _)| at)
+        self.chaos.next_at()
     }
 }
 
 impl Drop for ThreadedEngine {
     fn drop(&mut self) {
         for (w, tx) in self.txs.iter().enumerate() {
-            if !self.dead[w] {
+            if self.roster.alive(w) {
                 let _ = tx.send(Msg::Stop);
             }
         }
